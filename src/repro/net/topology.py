@@ -3,8 +3,15 @@
 The paper's testbed connects 16 nodes through a Myrinet-2000 network whose
 default hardware topology is a Clos network; at 16 nodes that is a single
 crossbar.  Builders here produce single-switch, two-level Clos, line, and
-arbitrary (networkx-graph) fabrics; routes are shortest paths computed once
-and cached (Myrinet is source-routed, so routes are static per pair).
+arbitrary (NIC placement plus switch edge list) fabrics.
+
+Myrinet is source-routed: the GM mapper computes one route per pair and
+recomputes routes only after a fabric change.  The topology keeps its own
+adjacency lists in cabling order.  One breadth-first search per source NIC,
+over live switches and cables, records every equal-distance predecessor;
+a route is one of the shortest paths those predecessors spell out, picked
+deterministically per pair.  Searches, routes and route latencies are
+memoized until the next wiring change or failure transition.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 import zlib
-
-import networkx as nx
 
 from repro.errors import ConfigError, RoutingError
 from repro.net.link import Link
@@ -31,9 +36,9 @@ _SWITCH = "switch"
 class Topology:
     """A wired fabric: switches, NIC attachment points, directed links.
 
-    Nodes of the internal graph are ``("nic", i)`` or ``("switch", s)``.
-    Every physical cable is two directed :class:`Link` objects.  Routes are
-    link-lists from source NIC to destination NIC, memoized.
+    Nodes are ``("nic", i)`` or ``("switch", s)``.  Every physical cable
+    is two directed :class:`Link` objects.  Routes are link-lists from
+    source NIC to destination NIC, memoized.
     """
 
     def __init__(
@@ -53,12 +58,18 @@ class Topology:
         self.link_latency = link_latency
         self.hop_latency = hop_latency
         self.name = name
-        self.graph = nx.Graph()
         self.switches: list[CrossbarSwitch] = []
-        #: directed links keyed by (graph-node, graph-node)
+        #: neighbours of every node, in cabling order, failed or not
+        self._adj: dict[tuple, list[tuple]] = {
+            (_NIC, i): [] for i in range(n_nodes)
+        }
+        #: directed links keyed by (node, node)
         self._links: dict[tuple, Link] = {}
         self._route_cache: dict[tuple[int, int], list[Link]] = {}
         self._latency_cache: dict[tuple[int, int], float] = {}
+        #: per source NIC: every node it reaches over live links, mapped
+        #: to that node's predecessors on shortest paths from the source
+        self._bfs_cache: dict[int, dict[tuple, list[tuple]]] = {}
         #: Bumped on every wiring change (:meth:`cable`) and on every
         #: failure transition (:meth:`set_link_state` /
         #: :meth:`set_switch_state`).  Derived caches outside this class
@@ -73,26 +84,27 @@ class Topology:
         self._down_edges: set[tuple] = set()
         self._down_switches: set[int] = set()
         self._cables: list[tuple] | None = None
-        for i in range(n_nodes):
-            self.graph.add_node((_NIC, i))
 
     # -- construction ------------------------------------------------------
     def add_switch(self, radix: int) -> CrossbarSwitch:
         sw = CrossbarSwitch(len(self.switches), radix, self.hop_latency)
         self.switches.append(sw)
-        self.graph.add_node((_SWITCH, sw.switch_id))
+        self._adj[(_SWITCH, sw.switch_id)] = []
         return sw
 
     def cable(self, a: tuple, b: tuple) -> None:
-        """Run a full-duplex cable between graph nodes *a* and *b*."""
+        """Run a full-duplex cable between nodes *a* and *b*."""
         for endpoint in (a, b):
-            if endpoint not in self.graph:
+            if endpoint not in self._adj:
                 raise ConfigError(f"unknown endpoint {endpoint!r}")
-        if self.graph.has_edge(a, b):
+        if (a, b) in self._links:
             raise ConfigError(f"duplicate cable {a!r} <-> {b!r}")
-        self.graph.add_edge(a, b)
+        self._adj[a].append(b)
+        self._adj[b].append(a)
         # A new cable can shorten existing shortest paths: memoized
-        # routes and latency sums are stale the moment the graph grows.
+        # searches, routes and latency sums are stale the moment the
+        # fabric grows.
+        self._bfs_cache.clear()
         self._route_cache.clear()
         self._latency_cache.clear()
         self._cables = None
@@ -126,6 +138,10 @@ class Topology:
         b.attach(pb, PortRef(a, pa))
         self.cable((_SWITCH, a.switch_id), (_SWITCH, b.switch_id))
 
+    def neighbors(self, node: tuple) -> list[tuple]:
+        """Nodes cabled to *node*, in cabling order, failed or not."""
+        return self._adj[node]
+
     # -- failure lifecycle -------------------------------------------------
     def cables(self) -> list[tuple]:
         """All physical cables as sorted canonical endpoint pairs.
@@ -136,7 +152,7 @@ class Topology:
         """
         if self._cables is None:
             self._cables = sorted(
-                tuple(sorted(edge)) for edge in self.graph.edges
+                key for key in self._links if key[0] <= key[1]
             )
         return self._cables
 
@@ -192,6 +208,7 @@ class Topology:
                 and u not in down_nodes
                 and v not in down_nodes
             )
+        self._bfs_cache.clear()
         self._route_cache.clear()
         self._latency_cache.clear()
         self.version += 1
@@ -203,20 +220,40 @@ class Topology:
         """Whether a live route exists between two NICs right now."""
         if src == dst:
             return True
-        try:
-            return nx.has_path(self._live_graph(), (_NIC, src), (_NIC, dst))
-        except nx.NodeNotFound:
+        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
             return False
+        return (_NIC, dst) in self._search(src)
 
-    def _live_graph(self) -> "nx.Graph":
-        """The graph restricted to live switches and cables."""
-        if not self._down_edges and not self._down_switches:
-            return self.graph
-        return nx.restricted_view(
-            self.graph,
-            [(_SWITCH, s) for s in self._down_switches],
-            list(self._down_edges),
-        )
+    def _search(self, src: int) -> dict[tuple, list[tuple]]:
+        """Breadth-first search from NIC *src* over live links, memoized.
+
+        Maps every node reachable from *src* to all of its predecessors
+        at one hop less from *src*, so the shortest paths to a node are
+        exactly its predecessor chains.  ``Link.up`` is the live view:
+        :meth:`_state_changed` clears it on failed cables and on every
+        cable of a failed switch.
+        """
+        preds = self._bfs_cache.get(src)
+        if preds is not None:
+            return preds
+        adj, links = self._adj, self._links
+        source = (_NIC, src)
+        preds = {source: []}
+        frontier = [source]
+        while frontier:
+            level: dict[tuple, list[tuple]] = {}
+            for u in frontier:
+                for v in adj[u]:
+                    if v in preds or not links[(u, v)].up:
+                        continue
+                    if v in level:
+                        level[v].append(u)
+                    else:
+                        level[v] = [u]
+            preds.update(level)
+            frontier = level
+        self._bfs_cache[src] = preds
+        return preds
 
     # -- routing -------------------------------------------------------------
     def route(self, src: int, dst: int) -> list[Link]:
@@ -236,14 +273,16 @@ class Topology:
         for nic in (src, dst):
             if not 0 <= nic < self.n_nodes:
                 raise RoutingError(f"unknown NIC id {nic}")
-        try:
-            paths = list(
-                nx.all_shortest_paths(
-                    self._live_graph(), (_NIC, src), (_NIC, dst)
-                )
-            )
-        except nx.NetworkXNoPath as exc:
-            raise RoutingError(f"no path from NIC {src} to NIC {dst}") from exc
+        preds = self._search(src)
+        source, target = (_NIC, src), (_NIC, dst)
+        if target not in preds:
+            raise RoutingError(f"no path from NIC {src} to NIC {dst}")
+        # Every shortest path, spelled backwards from the target: all of
+        # them are the same length, so they reach the source together.
+        paths = [[target]]
+        while paths[0][-1] != source:
+            paths = [path + [u] for path in paths for u in preds[path[-1]]]
+        paths = [path[::-1] for path in paths]
         # Myrinet source routes are computed once and dispersed across
         # equal-cost paths (spine switches in a Clos); pick one
         # deterministically per pair so traffic does not funnel through

@@ -103,7 +103,7 @@ def _switch_affine(topo: "Topology", n_shards: int, seed: int) -> list[int]:
     isolated: list[int] = []
     for i in range(topo.n_nodes):
         attached = [
-            nbr for nbr in topo.graph.neighbors((_NIC, i))
+            nbr for nbr in topo.neighbors((_NIC, i))
             if nbr[0] == _SWITCH
         ]
         if attached:
@@ -216,7 +216,7 @@ class PartitionPlan:
         for sw in topo.switches:
             attached = [
                 nbr[1]
-                for nbr in topo.graph.neighbors((_SWITCH, sw.switch_id))
+                for nbr in topo.neighbors((_SWITCH, sw.switch_id))
                 if nbr[0] == _NIC
             ]
             if attached:
@@ -289,12 +289,11 @@ class PartitionPlan:
             return hit
         lookahead = _INF
         n_cut = 0
-        adjacency = topo.graph.adj
         for (u, v), link in topo._links.items():
             if v[0] != _SWITCH:
                 continue
             owner = self.link_owner((u, v))
-            for w in adjacency[v]:
+            for w in topo.neighbors(v):
                 if w == u:
                     continue
                 if self.link_owner((v, w)) != owner:

@@ -93,6 +93,7 @@ def test_link_down_bumps_version_and_invalidates_route_memo():
     assert topo.version == v0 + 1
     assert not topo._route_cache, "route memo survived a failure"
     assert not topo._latency_cache, "latency memo survived a failure"
+    assert not topo._bfs_cache, "BFS memo survived a failure"
     with pytest.raises(RoutingError):
         topo.route(1, 5)
 

@@ -58,7 +58,7 @@ def test_smoke_benchmark_writes_valid_json(tmp_path, capsys):
             assert entry["speedup"] is None
             assert entry["parallel_comparison"] == "skipped-1cpu"
         else:
-            assert "parallel_comparison" not in entry
+            assert entry["parallel_comparison"] == "measured"
     assert report["totals"]["all_outputs_identical"] is True
 
 

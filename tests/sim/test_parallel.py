@@ -59,7 +59,7 @@ class TestPartitionPlan:
         for sw in topo.switches:
             nics = [
                 nbr[1]
-                for nbr in topo.graph.neighbors(("switch", sw.switch_id))
+                for nbr in topo.neighbors(("switch", sw.switch_id))
                 if nbr[0] == "nic"
             ]
             if nics and len({plan.node_to_shard[i] for i in nics}) > 1:
