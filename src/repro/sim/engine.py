@@ -4,18 +4,19 @@ Kernel v2: the heap holds two kinds of entries — :class:`SimEvent`
 objects and :class:`_Callback` cells (raw callables recycled through a
 freelist).  Timers that only need to run a function (``call_at``,
 ``Link.hold_for``, retransmission timers) go through
-:meth:`Simulator.schedule_callback` and never allocate an event; the run
-loops are fused (hoisted heap/locals, batched counter updates) so the
-per-event cost is one heap pop plus the callbacks themselves.
+:meth:`Simulator.schedule_callback` and never allocate an event; one
+dispatch loop (hoisted heap/locals, batched counter updates) serves
+every run mode, so the per-event cost is one heap pop plus the
+callbacks themselves.
 
 Kernel v3 adds two structures around the heap:
 
 * a **now-queue** (one per priority) — same-instant work (``succeed``,
   zero-delay timeouts, same-time callbacks, process boots and exits)
-  goes on a plain FIFO deque instead of the heap.  The run loops drain
-  any heap entries already due at the current instant first (they were
-  scheduled earlier, so their sequence numbers are smaller), then the
-  urgent queue, then the normal queue, each in append order — byte
+  goes on a plain FIFO deque instead of the heap.  The dispatch loop
+  drains any heap entries already due at the current instant first
+  (they were scheduled earlier, so their sequence numbers are smaller),
+  then the urgent queue, then the normal queue, each in append order — byte
   identical to the ``(when, priority, seq)`` heap order, without paying
   ``heappush``/``heappop`` for the majority of events in a cascade;
 * a **hierarchical timer wheel** — cancellable timers armed through
@@ -107,25 +108,21 @@ def set_default_flight(recorder: Any) -> Any:
     return previous
 
 
-class EmptySchedule(Exception):
-    """Raised by :meth:`Simulator.step` when no events remain."""
-
-
 class _Callback:
     """A heap cell carrying a bare callable — no event machinery.
 
-    Cells are recycled through the simulator's freelist: after the run
-    loop invokes ``fn`` the cell goes back on the freelist, so a
+    Cells are recycled through the simulator's freelist: after the
+    dispatch loop invokes ``fn`` the cell goes back on the freelist, so a
     steady-state run (packet hops, NIC holds, retransmission timers)
     schedules timers with zero allocation beyond the heap tuple.
     """
 
     __slots__ = ("fn",)
 
-    #: Class-level sentinel: the run loops dispatch on the ``callbacks``
-    #: attribute (``None`` = bare-callable cell, a list = SimEvent), so
-    #: the common SimEvent case pays one attribute load, not two
-    #: class-identity checks.
+    #: Class-level sentinel: the dispatch loop branches on the
+    #: ``callbacks`` attribute (``None`` = bare-callable cell, a list =
+    #: SimEvent), so the common SimEvent case pays one attribute load,
+    #: not two class-identity checks.
     callbacks = None
 
     def __init__(self, fn: Callable[[], None] | None = None):
@@ -143,7 +140,7 @@ class _TimerHandle:
 
     __slots__ = ("fn", "cancelled")
 
-    #: See :class:`_Callback` — dispatch discriminator for the run loops.
+    #: See :class:`_Callback` — dispatch discriminator for the loop.
     callbacks = None
 
     def __init__(self, fn: Callable[[], None]):
@@ -190,7 +187,7 @@ class Simulator:
         self._wheel_l1: dict[float, list[tuple]] = {}
         self._wheel_overflow: list[tuple] = []
         #: Earliest slot start holding any wheel entry (``inf`` = empty).
-        #: The run loops flush the wheel whenever the next event to
+        #: The dispatch loop flushes the wheel whenever the next event to
         #: process is at or past this time.
         self._wheel_next: float = _INF
         self._now: float = 0.0
@@ -208,7 +205,7 @@ class Simulator:
         #: recorder never touches the event queue, so attached and
         #: detached runs replay byte-identically.
         self.flight = _DEFAULT_FLIGHT
-        #: Events processed by :meth:`step`/:meth:`run` over this
+        #: Events processed by :meth:`run`/:meth:`run_window` over this
         #: simulator's lifetime.
         self.events_processed = 0
         # Shadow the `timeout` method with a C-level partial: one Timeout
@@ -290,21 +287,6 @@ class Simulator:
             self.trace.record(self._now, component, category, fields)
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
-        if delay == 0.0:
-            # Same-instant work: straight onto the now-queue for its
-            # priority.  Heap entries already due at this instant were
-            # scheduled earlier (smaller seq) and the loops drain them
-            # first, so FIFO append order reproduces exact heap order.
-            if priority == 1:
-                self._now_q.append(event)
-            else:
-                self._now_uq.append(event)
-        else:
-            heapq.heappush(
-                self._heap, (self._now + delay, priority, next(self._seq), event)
-            )
-
     def schedule_callback(
         self, when: float, fn: Callable[[], None], priority: int = NORMAL
     ) -> None:
@@ -442,228 +424,38 @@ class Simulator:
         KERNEL_COUNTERS.wheel_cancelled += dropped
 
     # -- run loop ----------------------------------------------------------
-    def step(self) -> None:
-        """Process one event from the queue."""
-        heap = self._heap
-        while True:
-            if self._now_uq:
-                # Urgent heap entries due now were scheduled earlier
-                # (smaller seq) and go first; NORMAL heap entries wait —
-                # priority outranks seq at the same instant.
-                if heap and heap[0][0] == self._now and heap[0][1] == 0:
-                    _w, _p, _s, event = heapq.heappop(heap)
-                else:
-                    event = self._now_uq.popleft()
-                    KERNEL_COUNTERS.batched_events += 1
-            elif self._now_q:
-                # No wheel check needed here: timers always land in
-                # slots strictly after their arm time, and every
-                # time-advancing pop flushes first — so while the
-                # now-queue drains, ``_wheel_next > _now`` holds.
-                if heap and heap[0][0] == self._now:
-                    _w, _p, _s, event = heapq.heappop(heap)
-                else:
-                    event = self._now_q.popleft()
-                    KERNEL_COUNTERS.batched_events += 1
-            elif heap:
-                when = heap[0][0]
-                if self._wheel_next <= when:
-                    self._flush_wheel(when)
-                    continue
-                when, _p, _s, event = heapq.heappop(heap)
-                self._now = when
-            elif self._wheel_next < _INF:
-                self._flush_wheel(self._wheel_next)
-                continue
-            else:
-                raise EmptySchedule
-            callbacks = event.callbacks
-            if callbacks is not None:
-                self.events_processed += 1
-                KERNEL_COUNTERS.events += 1
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                return
-            if event.__class__ is _Callback:
-                self.events_processed += 1
-                KERNEL_COUNTERS.events += 1
-                fn = event.fn
-                event.fn = None
-                self._cb_freelist.append(event)
-                fn()
-                return
-            if event.cancelled:  # defused _TimerHandle: skip, no event
-                KERNEL_COUNTERS.wheel_skipped += 1
-                continue
-            self.events_processed += 1
-            KERNEL_COUNTERS.events += 1
-            event.fn()
-            return
-
     def run(self, until: float | SimEvent | None = None) -> Any:
         """Run the simulation.
 
         ``until`` may be:
 
         * ``None`` — run until the event queue drains;
-        * a ``float`` — run until simulated time reaches that instant;
+        * a ``float`` — run until simulated time reaches that instant
+          (``inf`` drains the queue and, like ``None``, leaves the clock
+          at the last event);
         * a :class:`SimEvent` — run until that event is processed, and
           return its value (raising its exception if it failed).
-
-        All three loops are fused: heap, queue, and helpers are hoisted
-        into locals and the lifetime counters are updated once per run,
-        not once per event.
         """
-        heap = self._heap
-        q = self._now_q
-        uq = self._now_uq
-        pop = heapq.heappop
-        popleft = q.popleft
-        upopleft = uq.popleft
-        cb_cls = _Callback
-        freelist = self._cb_freelist
-        n = 0
-        nb = 0
-        ns = 0
-        now_val = self._now
-
-        if until is None:
-            try:
-                while True:
-                    if uq:
-                        # Urgent heap entries due now carry smaller seqs
-                        # and go first; NORMAL heap entries wait behind
-                        # the urgent queue (priority outranks seq).
-                        if heap and heap[0][0] == now_val and heap[0][1] == 0:
-                            _w, _p, _s, event = pop(heap)
-                        else:
-                            event = upopleft()
-                            nb += 1
-                    elif q:
-                        # No wheel check while the queue drains: timers
-                        # always land in slots strictly after their arm
-                        # time, and every time-advancing pop below
-                        # flushes first, so ``_wheel_next > _now`` holds.
-                        if heap and heap[0][0] == now_val:
-                            _w, _p, _s, event = pop(heap)
-                        else:
-                            event = popleft()
-                            nb += 1
-                    elif heap:
-                        when = heap[0][0]
-                        if self._wheel_next <= when:
-                            self._flush_wheel(when)
-                            continue
-                        when, _p, _s, event = pop(heap)
-                        self._now = now_val = when
-                    elif self._wheel_next < _INF:
-                        self._flush_wheel(self._wheel_next)
-                        continue
-                    else:
-                        break
-                    callbacks = event.callbacks
-                    if callbacks is not None:
-                        n += 1
-                        event.callbacks = None
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for cb in callbacks:
-                                cb(event)
-                    elif event.__class__ is cb_cls:
-                        n += 1
-                        fn = event.fn
-                        event.fn = None
-                        freelist.append(event)
-                        fn()
-                    elif not event.cancelled:
-                        n += 1
-                        event.fn()
-                    else:
-                        # Defused _TimerHandle that had already flushed
-                        # (or bypassed) the wheel: discard, no dispatch.
-                        ns += 1
-            finally:
-                self.events_processed += n
-                KERNEL_COUNTERS.events += n
-                KERNEL_COUNTERS.batched_events += nb
-                KERNEL_COUNTERS.wheel_skipped += ns
-            return None
-
         if isinstance(until, SimEvent):
-            stop = until
-            if stop.processed:
-                if not stop.ok:
-                    raise stop.value
-                return stop.value
-            flag: list[bool] = []
-            stop.add_callback(lambda _ev: flag.append(True))
-            try:
-                while not flag:
-                    if uq:
-                        if heap and heap[0][0] == now_val and heap[0][1] == 0:
-                            _w, _p, _s, event = pop(heap)
-                        else:
-                            event = upopleft()
-                            nb += 1
-                    elif q:
-                        if heap and heap[0][0] == now_val:
-                            _w, _p, _s, event = pop(heap)
-                        else:
-                            event = popleft()
-                            nb += 1
-                    elif heap:
-                        when = heap[0][0]
-                        if self._wheel_next <= when:
-                            self._flush_wheel(when)
-                            continue
-                        when, _p, _s, event = pop(heap)
-                        self._now = now_val = when
-                    elif self._wheel_next < _INF:
-                        self._flush_wheel(self._wheel_next)
-                        continue
-                    else:
-                        raise RuntimeError(
-                            f"simulation ran out of events before {stop!r} "
-                            "triggered"
-                        )
-                    callbacks = event.callbacks
-                    if callbacks is not None:
-                        n += 1
-                        event.callbacks = None
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for cb in callbacks:
-                                cb(event)
-                    elif event.__class__ is cb_cls:
-                        n += 1
-                        fn = event.fn
-                        event.fn = None
-                        freelist.append(event)
-                        fn()
-                    elif not event.cancelled:
-                        n += 1
-                        event.fn()
-                    else:
-                        # Defused _TimerHandle that had already flushed
-                        # (or bypassed) the wheel: discard, no dispatch.
-                        ns += 1
-            finally:
-                self.events_processed += n
-                KERNEL_COUNTERS.events += n
-                KERNEL_COUNTERS.batched_events += nb
-                KERNEL_COUNTERS.wheel_skipped += ns
-            if not stop.ok:
-                raise stop.value
-            return stop.value
+            if not until.processed:
+                flag: list[bool] = []
+                until.add_callback(lambda _ev: flag.append(True))
+                self._dispatch(_INF, False, flag)
+                if not flag:
+                    raise RuntimeError(
+                        f"simulation ran out of events before {until!r} "
+                        "triggered"
+                    )
+            if not until.ok:
+                raise until.value
+            return until.value
 
-        horizon = float(until)
+        horizon = _INF if until is None else float(until)
         if horizon < self._now:
             raise ValueError(f"run(until={horizon}) is in the past")
-        self._run_bounded(horizon, inclusive=True)
-        self._now = max(self._now, horizon)
+        self._dispatch(horizon, False, None)
+        if horizon < _INF:
+            self._now = horizon
         return None
 
     def run_window(self, horizon: float) -> None:
@@ -682,13 +474,25 @@ class Simulator:
             raise ValueError(
                 f"run_window({horizon}) is in the past (now={self._now})"
             )
-        self._run_bounded(horizon, inclusive=False)
+        # Queued same-instant work is due at ``now``; only a horizon
+        # beyond it lets that work run.
+        if horizon > self._now:
+            self._dispatch(horizon, True, None)
 
-    def _run_bounded(self, horizon: float, inclusive: bool) -> None:
-        """Fused run loop shared by ``run(until=float)`` and ``run_window``.
+    def _dispatch(
+        self, horizon: float, strict: bool, stop: list[bool] | None
+    ) -> None:
+        """The kernel's one dispatch loop, behind every :meth:`run` mode
+        and :meth:`run_window`.
 
-        ``inclusive`` selects whether events exactly at the horizon are
-        processed (``run``) or left queued (``run_window``).
+        Runs events in ``(when, priority, seq)`` order until the queue
+        drains, the next event lies past *horizon* (or at it, if
+        *strict*), or *stop* turns truthy.  *stop* is tested only after a
+        :class:`SimEvent` dispatch — the only way the callback that sets
+        it can run — so ``run(until=event)`` returns as soon as that
+        event's callbacks have run, leaving same-instant work behind it
+        queued.  Heap, queues and helpers are hoisted into locals and the
+        lifetime counters are updated once per call, not once per event.
         """
         heap = self._heap
         q = self._now_q
@@ -698,7 +502,6 @@ class Simulator:
         upopleft = uq.popleft
         cb_cls = _Callback
         freelist = self._cb_freelist
-        strict = not inclusive
         n = 0
         nb = 0
         ns = 0
@@ -706,12 +509,19 @@ class Simulator:
         try:
             while True:
                 if uq:
+                    # Urgent heap entries due now carry smaller seqs and go
+                    # first; NORMAL heap entries wait behind the urgent
+                    # queue (priority outranks seq).
                     if heap and heap[0][0] == now_val and heap[0][1] == 0:
                         _w, _p, _s, event = pop(heap)
                     else:
                         event = upopleft()
                         nb += 1
                 elif q:
+                    # No wheel check while the queue drains: timers always
+                    # land in slots strictly after their arm time, and
+                    # every time-advancing pop below flushes first, so
+                    # ``_wheel_next > _now`` holds.
                     if heap and heap[0][0] == now_val:
                         _w, _p, _s, event = pop(heap)
                     else:
@@ -723,15 +533,19 @@ class Simulator:
                     if wnext <= when and wnext <= horizon:
                         self._flush_wheel(when if when < horizon else horizon)
                         continue
-                    if when > horizon or (strict and when == horizon):
+                    if when >= horizon and (when > horizon or strict):
                         break
                     when, _p, _s, event = pop(heap)
                     self._now = now_val = when
-                elif self._wheel_next <= horizon:
-                    self._flush_wheel(horizon)
-                    continue
                 else:
-                    break
+                    # Only wheel timers remain.  An unbounded call flushes
+                    # the earliest slot, a bounded one everything up to its
+                    # horizon; an empty wheel (``inf``) ends either.
+                    wnext = self._wheel_next
+                    if wnext == _INF or wnext > horizon:
+                        break
+                    self._flush_wheel(wnext if horizon == _INF else horizon)
+                    continue
                 callbacks = event.callbacks
                 if callbacks is not None:
                     n += 1
@@ -741,6 +555,8 @@ class Simulator:
                     else:
                         for cb in callbacks:
                             cb(event)
+                    if stop:
+                        break
                 elif event.__class__ is cb_cls:
                     n += 1
                     fn = event.fn
@@ -751,8 +567,8 @@ class Simulator:
                     n += 1
                     event.fn()
                 else:
-                    # Defused _TimerHandle that had already flushed
-                    # (or bypassed) the wheel: discard, no dispatch.
+                    # Defused _TimerHandle that had already flushed (or
+                    # bypassed) the wheel: discard, no dispatch.
                     ns += 1
         finally:
             self.events_processed += n

@@ -90,8 +90,8 @@ class SimEvent:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        # Inlined Simulator._schedule (succeed is the kernel's single
-        # hottest trigger): each priority rides its own now-queue.
+        # Straight onto the kernel's now-queue for this priority (succeed
+        # is the kernel's single hottest trigger).
         sim = self.sim
         if priority == 1:
             sim._now_q.append(self)
@@ -165,7 +165,7 @@ class Timeout(SimEvent):
             raise ValueError(f"negative timeout delay {delay!r}")
         # Flattened hot path (one Timeout per modelled wait): assign the
         # slots directly and push straight onto the heap rather than
-        # chaining through SimEvent.__init__ and Simulator._schedule.
+        # chaining through SimEvent.__init__.
         self.sim = sim
         self.callbacks = []
         self._value = value

@@ -83,11 +83,10 @@ class Process(SimEvent):
             raise RuntimeError(f"cannot interrupt unstarted process {self!r}")
         self._target.remove_callback(self._resume_cb)
         self._target = None
+        # Urgent, so the interrupt lands before same-instant ordinary
+        # events; the failure reaches the process through throw().
         poke = SimEvent(self.sim, name=f"interrupt:{self.name}")
-        poke._ok = False
-        poke._value = Interrupt(cause)
-        # defused: the failure is delivered via throw(), never "unhandled".
-        self.sim._schedule(poke, 0.0, 0)
+        poke.fail(Interrupt(cause), priority=0)
         poke.add_callback(self._resume_cb)
 
     def _resume(self, event: SimEvent) -> None:

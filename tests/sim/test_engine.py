@@ -1,5 +1,11 @@
 """Unit tests for the simulation engine and event primitives."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.sim import Simulator, SimEvent
@@ -171,6 +177,55 @@ def test_run_until_failed_event_raises_its_exception():
     sim.timeout(1.0).add_callback(lambda _e: ev.fail(KeyError("boom")))
     with pytest.raises(KeyError):
         sim.run(until=ev)
+
+
+def test_run_window_at_now_leaves_same_instant_work_queued():
+    sim = Simulator()
+    fired = []
+    sim.timeout(0.0).add_callback(lambda _e: fired.append(sim.now))
+    sim.run_window(0.0)
+    assert fired == []
+    sim.run_window(1.0)
+    assert fired == [0.0]
+
+
+#: Both infinite-horizon calls, on a queue holding a timeout, a live
+#: wheel timer and a cancelled one; prints what fired and the clocks.
+INFINITE_HORIZONS = r"""
+import json, math
+from repro.sim import Simulator
+
+result = {}
+for mode in ("run", "run_window"):
+    sim = Simulator()
+    fired = []
+    sim.timeout(5.0).add_callback(lambda _e: fired.append(sim.now))
+    sim.schedule_timer(300.0, lambda: fired.append(sim.now))
+    sim.schedule_timer(9000.0, lambda: fired.append(sim.now)).cancel()
+    if mode == "run":
+        sim.run(until=math.inf)
+    else:
+        sim.run_window(math.inf)
+    drained = sim.now
+    sim.run(until=sim.timeout(1.0))
+    result[mode] = {"fired": fired, "drained": drained, "later": sim.now}
+print(json.dumps(result))
+"""
+
+
+def test_infinite_horizons_drain_and_return():
+    """``run(until=inf)`` and ``run_window(inf)`` drain the queue, return,
+    and leave the clock at the last event.  Runs in a child process, so
+    a loop that never exits fails the test instead of hanging it."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", INFINITE_HORIZONS],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+        capture_output=True, text=True, timeout=60,
+    ).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    expected = {"fired": [5.0, 300.0], "drained": 300.0, "later": 301.0}
+    assert result == {"run": expected, "run_window": expected}
 
 
 class TestConditions:
