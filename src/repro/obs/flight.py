@@ -17,9 +17,21 @@ if fr is not None and pkt.header.trace_id >= 0:
 ```
 
 With no recorder attached that is one attribute check per site; with one
-attached, recording is a list append — the recorder never touches the
-event queue, so attached and detached runs replay byte-identically (the
-golden-trace tests pin this).
+attached, recording packs the event's fixed fields into one fixed-width
+row of a ``bytearray`` and appends the ``extra`` dict's values to a
+parallel list.  The recorder never touches the event queue, so attached
+and detached runs replay byte-identically (the golden-trace tests pin
+this).
+
+**Storage.**  A row holds ``when`` (a double), the trace id, a stage
+code, ``node``, ``uid``, ``chunk`` and an extra-shape code; each
+recorder interns its own stage names and ``extra`` key tuples behind
+those codes.  A one-key ``extra`` keeps its bare value, any other keeps
+the tuple of its values, so on a serving run's event mix a stored event
+costs about 70 bytes (``tests/obs/test_flight.py`` bounds it).  Reading
+:attr:`FlightRecorder.events` rebuilds exactly the tuples that were
+recorded — one pass over the ring — so read it once per analysis, not
+inside a loop.
 
 **Determinism across shard counts.**  Trace ids are allocated per
 *origin* node (``origin * ORIGIN_STRIDE + n``-th post from that origin),
@@ -38,6 +50,7 @@ The critical-path analyzer over these events lives in
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Iterable
 
 __all__ = [
@@ -79,10 +92,23 @@ STAGES = (
     "gauge",         # gauge sample (global note, trace_id = -1)
 )
 
-#: A hop event is a plain tuple (hot-path append, picklable, mergeable):
+#: A hop event, as :attr:`FlightRecorder.events` returns it, is a plain
+#: tuple (picklable, mergeable):
 #: ``(when, trace_id, stage, node, uid, chunk, extra)``.
 FlightEvent = tuple
 EV_WHEN, EV_TRACE, EV_STAGE, EV_NODE, EV_UID, EV_CHUNK, EV_EXTRA = range(7)
+
+
+#: One stored event's fixed fields: ``when`` (double), ``trace_id``
+#: (int64), stage code (uint8), ``node`` (int32), ``uid`` (int64),
+#: ``chunk`` (int32), extra-shape code (uint16).  A value outside its
+#: field's range raises :class:`struct.error`.
+_ROW = struct.Struct("<dqBiqiH")
+#: The trace-id field alone, for scans that need nothing else.
+_ROW_TRACE = struct.Struct(f"<8xq{_ROW.size - 16}x")
+#: How many stage names / extra key shapes a code field can tell apart.
+_STAGE_CODES = 1 << 8
+_SHAPE_CODES = 1 << 16
 
 
 class FlightRecorder:
@@ -97,24 +123,35 @@ class FlightRecorder:
         ``1.0`` traces everything and ``0.0`` nothing — no RNG draw, no
         perturbation of seeded streams.
     cap:
-        Ring-buffer capacity in events.  When full, the oldest events
-        are overwritten and :attr:`dropped` counts the overwrites.
+        Ring-buffer capacity in events, an int ``>= 1``.  When full, the
+        oldest events are overwritten and :attr:`dropped` counts the
+        overwrites.
     """
 
-    __slots__ = ("sample", "cap", "dropped", "_events", "_write",
-                 "_origin_seq")
+    __slots__ = ("sample", "cap", "dropped", "_rows", "_extras", "_write",
+                 "_origin_seq", "_stages", "_stage_code", "_shapes",
+                 "_shape_code")
 
     def __init__(self, sample: float = 1.0, cap: int = 1 << 18):
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"sample must be in [0, 1], got {sample}")
-        if cap < 1:
-            raise ValueError(f"cap must be >= 1, got {cap}")
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            raise ValueError(f"cap must be an int >= 1, got {cap!r}")
         self.sample = sample
         self.cap = cap
         self.dropped = 0
-        self._events: list[FlightEvent] = []
+        #: ``_ROW``-packed fixed fields, one row per stored event
+        self._rows = bytearray()
+        #: per stored event: ``None``, the bare value of a one-key extra,
+        #: or the tuple of an extra's values
+        self._extras: list[Any] = []
         self._write = 0
         self._origin_seq: dict[int, int] = {}
+        self._stages: list[str] = []
+        self._stage_code: dict[str, int] = {}
+        #: shape code -> extra's key tuple; code 0 is "no extra" (None)
+        self._shapes: list[tuple | None] = [None]
+        self._shape_code: dict[tuple, int] = {}
 
     # -- recording (hot path when attached) --------------------------------
     def begin(
@@ -151,13 +188,43 @@ class FlightRecorder:
         chunk: int = 0,
         extra: dict[str, Any] | None = None,
     ) -> None:
-        """Append one hop event (ring semantics once *cap* is reached)."""
-        ev = (when, trace_id, stage, node, uid, chunk, extra)
-        events = self._events
-        if len(events) < self.cap:
-            events.append(ev)
+        """Store one hop event (ring semantics once *cap* is reached).
+
+        *when* is stored as a double: a time passed as an int comes back
+        from :attr:`events` as the equal float.  *extra*'s keys and their
+        order are kept, and its values are the same objects on read.
+        """
+        code = self._stage_code.get(stage)
+        if code is None:
+            code = self._intern(
+                self._stage_code, self._stages, stage, _STAGE_CODES
+            )
+        if extra is None:
+            shape = 0
+            values = None
         else:
-            events[self._write % self.cap] = ev
+            keys = tuple(extra)
+            shape = self._shape_code.get(keys)
+            if shape is None:
+                shape = self._intern(
+                    self._shape_code, self._shapes, keys, _SHAPE_CODES
+                )
+            values = extra[keys[0]] if len(keys) == 1 else tuple(
+                extra.values()
+            )
+        extras = self._extras
+        if len(extras) < self.cap:
+            self._rows += _ROW.pack(
+                when, trace_id, code, node, uid, chunk, shape
+            )
+            extras.append(values)
+        else:
+            slot = self._write % self.cap
+            _ROW.pack_into(
+                self._rows, slot * _ROW.size,
+                when, trace_id, code, node, uid, chunk, shape,
+            )
+            extras[slot] = values
             self.dropped += 1
         self._write += 1
 
@@ -166,23 +233,56 @@ class FlightRecorder:
         """A global (trace-less) annotation event, e.g. a recovery heal."""
         self.record(when, -1, stage, node, -1, 0, extra)
 
+    @staticmethod
+    def _intern(codes: dict, table: list, key: Any, limit: int) -> int:
+        """The next code of *table* for *key*; raises once *limit* is hit."""
+        if len(table) == limit:
+            raise ValueError(
+                f"flight recorder has no code left for {key!r}: its code "
+                f"field holds {limit} distinct values"
+            )
+        code = codes[key] = len(table)
+        table.append(key)
+        return code
+
     # -- reading / merging -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._extras)
 
     @property
     def events(self) -> list[FlightEvent]:
-        """Recorded events in append order (ring rotation undone)."""
+        """Recorded events in append order (ring rotation undone).
+
+        Rebuilds every event tuple from the packed ring on each read.
+        """
+        stages = self._stages
+        shapes = self._shapes
+        out = []
+        append = out.append
+        for (when, tid, code, node, uid, chunk, shape), values in zip(
+            _ROW.iter_unpack(self._rows), self._extras
+        ):
+            keys = shapes[shape]
+            if keys is None:
+                extra = None
+            elif len(keys) == 1:
+                extra = {keys[0]: values}
+            else:
+                extra = dict(zip(keys, values))
+            append((when, tid, stages[code], node, uid, chunk, extra))
         if self.dropped:
             split = self._write % self.cap
-            return self._events[split:] + self._events[:split]
-        return list(self._events)
+            return out[split:] + out[:split]
+        return out
 
     def traces(self) -> list[int]:
         """All trace ids seen, in first-appearance order."""
+        rows = self._rows
+        if self.dropped:
+            split = self._write % self.cap * _ROW.size
+            rows = rows[split:] + rows[:split]
         seen: dict[int, None] = {}
-        for ev in self.events:
-            tid = ev[EV_TRACE]
+        for (tid,) in _ROW_TRACE.iter_unpack(rows):
             if tid >= 0 and tid not in seen:
                 seen[tid] = None
         return list(seen)
@@ -193,15 +293,9 @@ class FlightRecorder:
 
     def absorb(self, events: Iterable[FlightEvent]) -> None:
         """Fold merged shard events (already globally ordered) in."""
+        record = self.record
         for ev in events:
-            ev_t = tuple(ev)
-            evs = self._events
-            if len(evs) < self.cap:
-                evs.append(ev_t)
-            else:
-                evs[self._write % self.cap] = ev_t
-                self.dropped += 1
-            self._write += 1
+            record(*ev)
 
 
 def event_to_dict(ev: FlightEvent) -> dict[str, Any]:

@@ -118,6 +118,11 @@ _SCHEME_CONTEXT = {
 }
 
 
+def _is_real(value: Any) -> bool:
+    """An int or float, and not a bool (JSON ``true`` is no number here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _unknown_keys(data: dict[str, Any], cls: type, what: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be an object, got {data!r}")
@@ -238,15 +243,20 @@ class TelemetrySpec:
     interval_us: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sample <= 1.0:
+        if not _is_real(self.sample) or not 0.0 <= self.sample <= 1.0:
             raise ConfigError(
-                f"telemetry sample must be in [0, 1], got {self.sample}"
+                f"telemetry sample must be a number in [0, 1], "
+                f"got {self.sample!r}"
             )
-        if self.cap < 1:
-            raise ConfigError(f"telemetry cap must be >= 1, got {self.cap}")
-        if self.interval_us <= 0:
+        if (not isinstance(self.cap, int) or isinstance(self.cap, bool)
+                or self.cap < 1):
             raise ConfigError(
-                f"telemetry interval_us must be > 0, got {self.interval_us}"
+                f"telemetry cap must be an int >= 1, got {self.cap!r}"
+            )
+        if not _is_real(self.interval_us) or not self.interval_us > 0:
+            raise ConfigError(
+                f"telemetry interval_us must be a number > 0, "
+                f"got {self.interval_us!r}"
             )
 
     def to_dict(self) -> dict[str, Any]:

@@ -135,6 +135,24 @@ def test_measurement_validation_errors(kwargs, match):
         MeasurementSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "telemetry, match",
+    [
+        ({"cap": 2.5}, "cap"),
+        ({"cap": True}, "cap"),
+        ({"sample": "1"}, "sample"),
+        ({"interval_us": "5"}, "interval_us"),
+    ],
+)
+def test_telemetry_types_rejected_at_load(telemetry, match):
+    payload = {
+        "workload": {"kind": "unicast"},
+        "measurement": {"telemetry": telemetry},
+    }
+    with pytest.raises(ConfigError, match=match):
+        ScenarioSpec.from_dict(payload)
+
+
 def test_cross_validation_against_cluster():
     with pytest.raises(ConfigError, match="outside"):
         ScenarioSpec(
