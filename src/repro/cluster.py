@@ -22,7 +22,6 @@ from typing import Any, Callable, Generator, Iterable
 
 from repro.config import ClusterConfig
 from repro.gm.api import GMPort
-from repro.gm.tokens import ReceiveToken
 from repro.host.node import Node
 from repro.net.fabric import Network
 from repro.net.failure import FailureInjector
@@ -99,10 +98,8 @@ class Cluster:
             for node in self.nodes
         ]
         for port in self.ports:
-            if port is None:
-                continue
-            for _ in range(cfg.prepost_recv_tokens):
-                port._recv_tokens.append(ReceiveToken(port.port_num))
+            if port is not None:
+                port.prepost_recv_tokens(cfg.prepost_recv_tokens)
 
     # -- convenience ----------------------------------------------------------
     @property

@@ -93,8 +93,11 @@ class ClusterConfig:
     extras: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ConfigError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if (not isinstance(self.n_nodes, int) or isinstance(self.n_nodes, bool)
+                or self.n_nodes < 1):
+            raise ConfigError(
+                f"n_nodes must be an int >= 1, got {self.n_nodes!r}"
+            )
         if self.topology not in TOPOLOGIES:
             raise ConfigError(
                 f"unknown topology {self.topology!r}; pick one of {TOPOLOGIES}"

@@ -64,7 +64,19 @@ class RecvCompletion:
 
 
 class GMPort:
-    """A GM communication endpoint on one NIC."""
+    """A GM communication endpoint on one NIC.
+
+    The port's token pools are counts, and a token object is minted on
+    first use.  Send tokens: a fixed pool of ``send_tokens_per_port``;
+    a completed send's token goes on ``_free_send_tokens`` and is reused
+    last-in, first-out, ahead of the ``_unminted_send_tokens`` not yet
+    issued.  Receive tokens: the ``_preposted_recv_tokens`` loaned at
+    set-up (:meth:`prepost_recv_tokens`) are taken first, then host
+    reposts in the order they were posted.  A token's identity is never
+    observable (``token_id`` only keys ``_completions``, and
+    :meth:`SendToken.arm` resets every other field), so the counters
+    read exactly as for pools built whole.
+    """
 
     def __init__(self, engine: "GMEngine", port_num: int, owner: Any):
         self.engine = engine
@@ -73,12 +85,11 @@ class GMPort:
         self.cost = engine.cost
         self.port_num = port_num
         self.owner = owner
-        cost = self.cost
-        self._free_send_tokens: list[SendToken] = [
-            SendToken(port_num) for _ in range(cost.send_tokens_per_port)
-        ]
-        # deque: tokens are claimed FIFO once per received message and
-        # 64 are preposted per port, so list.pop(0) shifting adds up.
+        self._free_send_tokens: list[SendToken] = []
+        self._unminted_send_tokens = self.cost.send_tokens_per_port
+        self._preposted_recv_tokens = 0
+        # deque: host reposts are claimed FIFO, once per received
+        # message, so list.pop(0) shifting would add up.
         self._recv_tokens: deque[ReceiveToken] = deque()
         self.event_queue: Store = Store(
             self.sim, name=f"port{engine.nic.id}.{port_num}.events"
@@ -100,17 +111,65 @@ class GMPort:
     # -- token pools (engine-facing) --------------------------------------------
     @property
     def free_send_tokens(self) -> int:
-        return len(self._free_send_tokens)
+        return len(self._free_send_tokens) + self._unminted_send_tokens
 
     @property
     def free_recv_tokens(self) -> int:
-        return len(self._recv_tokens)
+        return self._preposted_recv_tokens + len(self._recv_tokens)
+
+    def prepost_recv_tokens(self, count: int) -> None:
+        """Set-up: loan the NIC *count* receive buffers at no host cost.
+
+        Ports are provisioned this way when they are opened, before the
+        host reposts any buffer: preposted tokens are claimed ahead of
+        every host repost.  Each is minted when a message claims it.
+        """
+        self._preposted_recv_tokens += count
 
     def take_recv_token(self) -> ReceiveToken | None:
         """NIC side: claim a preposted receive buffer, if any."""
+        if self._preposted_recv_tokens:
+            self._preposted_recv_tokens -= 1
+            return ReceiveToken(self.port_num)
         if not self._recv_tokens:
             return None
         return self._recv_tokens.popleft()
+
+    def take_send_token(
+        self,
+        dst: int,
+        dst_port: int,
+        size: int,
+        region: "RegisteredRegion | None" = None,
+        info: Any = None,
+    ) -> SendHandle:
+        """Host side: claim and arm a send token, and register its handle.
+
+        The one path for every send the host posts (unicast, multicast
+        and multidestination).  Raises :class:`TokenExhausted` if the
+        port has no free send tokens (GM's behaviour).  Pins *region*,
+        if any; the returned handle's ``done`` fires on full ack.
+        """
+        if self._free_send_tokens:
+            token = self._free_send_tokens.pop()
+        elif self._unminted_send_tokens:
+            self._unminted_send_tokens -= 1
+            token = SendToken(self.port_num)
+        else:
+            raise TokenExhausted(
+                f"port {self.nic.id}:{self.port_num} has no free send tokens"
+            )
+        token.arm(dst, dst_port, size, region)
+        if info is not None:
+            token.context["info"] = info
+        if region is not None:
+            region.pin()
+        handle = SendHandle(
+            token=token, done=self.sim.event(), posted_at=self.sim.now
+        )
+        self._completions[token.token_id] = handle
+        self.sends_posted += 1
+        return handle
 
     def return_recv_token(self, token: ReceiveToken) -> None:
         """NIC side: a transformed token's duties are over — it is consumed
@@ -147,23 +206,11 @@ class GMPort:
         self._check_owner(caller)
         if size < 0:
             raise ValueError(f"negative send size {size}")
-        if not self._free_send_tokens:
-            raise TokenExhausted(
-                f"port {self.nic.id}:{self.port_num} has no free send tokens"
-            )
-        token = self._free_send_tokens.pop()
-        token.arm(dst, dst_port, size, region)
-        if info is not None:
-            token.context["info"] = info
-        if region is not None:
-            region.pin()
-        handle = SendHandle(
-            token=token, done=self.sim.event(), posted_at=self.sim.now
-        )
-        self._completions[token.token_id] = handle
-        self.sends_posted += 1
+        handle = self.take_send_token(dst, dst_port, size, region, info)
         yield self.sim.timeout(self.cost.host_send_post)
-        self.nic.post_command(SendCommand(port=self.port_num, token=token))
+        self.nic.post_command(
+            SendCommand(port=self.port_num, token=handle.token)
+        )
         return handle
 
     def provide_receive_buffer(

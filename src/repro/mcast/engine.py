@@ -171,18 +171,9 @@ class McastEngine:
         Usage from a host program: ``handle = yield from
         node.mcast.multicast_send(port, gid, nbytes)``.
         """
-        from repro.errors import TokenExhausted
-        from repro.gm.api import SendHandle
-
         port._check_owner(caller)
-        if not port._free_send_tokens:
-            raise TokenExhausted(
-                f"port {self.nic.id}:{port.port_num} has no free send tokens"
-            )
-        token: SendToken = port._free_send_tokens.pop()
-        token.arm(dst=-1, dst_port=port.port_num, size=size)
-        if info is not None:
-            token.context["info"] = info
+        handle = port.take_send_token(-1, port.port_num, size, info=info)
+        token = handle.token
         fr = self.sim.flight
         if fr is not None:
             tid = fr.begin(
@@ -191,11 +182,6 @@ class McastEngine:
             )
             if tid >= 0:
                 token.context["trace_id"] = tid
-        handle = SendHandle(
-            token=token, done=self.sim.event(), posted_at=self.sim.now
-        )
-        port._completions[token.token_id] = handle
-        port.sends_posted += 1
         yield self.sim.timeout(self.cost.host_send_post)
         self.nic.post_command(
             McastSendCommand(port=port.port_num, token=token, group_id=group_id)

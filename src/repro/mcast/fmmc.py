@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
 from repro.errors import CreditError
-from repro.gm.tokens import ReceiveToken
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster import Cluster
@@ -42,8 +41,7 @@ def control_port(cluster: "Cluster", node_id: int):
     port = node.gm.ports.get(CONTROL_PORT)
     if port is None:
         port = node.open_port(CONTROL_PORT)
-        for _ in range(cluster.config.prepost_recv_tokens):
-            port._recv_tokens.append(ReceiveToken(CONTROL_PORT))
+        port.prepost_recv_tokens(cluster.config.prepost_recv_tokens)
     return port
 
 

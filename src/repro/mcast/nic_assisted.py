@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.errors import TokenExhausted
 from repro.gm.api import SendHandle
 from repro.gm.protocol import SendRecord
 from repro.gm.tokens import SendToken
@@ -157,21 +156,13 @@ def nic_assisted_multisend(
 ) -> Generator[Any, Any, SendHandle]:
     """Host call: one multidestination send (costs one send token)."""
     port._check_owner(caller)
-    if not port._free_send_tokens:
-        raise TokenExhausted(
-            f"port {node.id}:{port.port_num} has no free send tokens"
-        )
-    token = port._free_send_tokens.pop()
-    token.arm(dst=-1, dst_port=port.port_num, size=size)
-    if info is not None:
-        token.context["info"] = info
-    handle = SendHandle(token=token, done=node.sim.event(), posted_at=node.sim.now)
-    port._completions[token.token_id] = handle
-    port.sends_posted += 1
+    handle = port.take_send_token(-1, port.port_num, size, info=info)
     yield node.sim.timeout(node.cost.host_send_post)
     node.nic.post_command(
         MultidestCommand(
-            port=port.port_num, token=token, destinations=tuple(destinations)
+            port=port.port_num,
+            token=handle.token,
+            destinations=tuple(destinations),
         )
     )
     return handle

@@ -37,12 +37,18 @@ class _Traversal:
     callback cell at precisely the ``(when, priority, seq)`` the hop's
     ``Timeout`` would have occupied — while paying one bare function call
     per event instead of a generator resume (and no finish event at all).
+
+    Each callback is bound when it is scheduled and is never cached on
+    the walk: a bound method kept on its own object is a reference cycle
+    that only the cyclic garbage collector can free.  So the heap cell
+    that runs the walk's last event holds its last reference, and
+    reference counting frees the walk, its packet and the packet's
+    header as soon as that event has run.
     """
 
     __slots__ = (
         "net", "sim", "packet", "links", "ser", "on_injected", "hop",
-        "_blocked_at", "_claim_cb", "_tail_cb", "_deliver_cb",
-        "_injected_cb",
+        "_blocked_at",
     )
 
     def __init__(
@@ -60,10 +66,6 @@ class _Traversal:
         self.on_injected = on_injected
         self.hop = 0
         self._blocked_at = 0.0
-        self._claim_cb = self._claim
-        self._tail_cb = self._tail
-        self._deliver_cb = self._deliver
-        self._injected_cb = self._injected
 
     def _claim(self) -> None:
         # Uncontended links (the dominant case in every sweep) are
@@ -132,7 +134,7 @@ class _Traversal:
             # The transmit DMA still serializes the frame into the dead
             # cable; the descriptor callback must fire at tail-out or
             # the NIC's transmit engine would wait on it forever.
-            sim.schedule_callback(sim._now + self.ser, self._injected_cb)
+            sim.schedule_callback(sim._now + self.ser, self._injected)
 
     def _cross(self, link) -> None:
         sim = self.sim
@@ -164,9 +166,9 @@ class _Traversal:
         if self.hop == 0 and self.on_injected is not None:
             if freelist:
                 cell = freelist.pop()
-                cell.fn = self._injected_cb
+                cell.fn = self._injected
             else:
-                cell = _Callback(self._injected_cb)
+                cell = _Callback(self._injected)
             _heappush(heap, (now + ser, 1, next(sseq), cell))
         self.hop += 1
         if self.hop < len(self.links):
@@ -183,9 +185,9 @@ class _Traversal:
                 if owner != net._shard_id:
                     net._post(owner, now + link.latency, packet, self.hop)
                     return
-            fn = self._claim_cb
+            fn = self._claim
         else:
-            fn = self._tail_cb
+            fn = self._tail
         when = now + link.latency
         if when > now:
             if freelist:
@@ -206,9 +208,9 @@ class _Traversal:
         freelist = sim._cb_freelist
         if freelist:
             cell = freelist.pop()
-            cell.fn = self._deliver_cb
+            cell.fn = self._deliver
         else:
-            cell = _Callback(self._deliver_cb)
+            cell = _Callback(self._deliver)
         _heappush(sim._heap, (sim._now + self.ser, 1, next(sim._seq), cell))
 
     def _deliver(self) -> None:
@@ -352,9 +354,9 @@ class Network:
         freelist = sim._cb_freelist
         if freelist:
             cell = freelist.pop()
-            cell.fn = walk._claim_cb
+            cell.fn = walk._claim
         else:
-            cell = _Callback(walk._claim_cb)
+            cell = _Callback(walk._claim)
         sim._now_uq.append(cell)
 
     def bind_partition(
@@ -400,7 +402,7 @@ class Network:
             return
         walk = _Traversal(self, packet, links, None)
         walk.hop = hop
-        self.sim.schedule_callback(when, walk._claim_cb)
+        self.sim.schedule_callback(when, walk._claim)
 
     def _drop_unroutable(
         self,

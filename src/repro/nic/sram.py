@@ -38,7 +38,15 @@ class SRAMBuffer:
 
 
 class BufferPool:
-    """A fixed set of SRAM buffers with blocking and non-blocking acquire."""
+    """A fixed set of SRAM buffers with blocking and non-blocking acquire.
+
+    The set is a count, and a buffer object is minted on first use: a
+    released buffer goes on ``_free`` and is reused last-in, first-out,
+    ahead of the ``_unminted`` buffers no acquire has taken yet.  Minted
+    buffers get indices from ``size - 1`` down, the order in which a
+    pool built whole hands them out, so every counter and ``repr`` reads
+    as if all *size* buffers existed from the start.
+    """
 
     def __init__(self, sim: "Simulator", size: int, name: str = "pool"):
         if size < 1:
@@ -46,7 +54,8 @@ class BufferPool:
         self.sim = sim
         self.size = size
         self.name = name
-        self._free: list[SRAMBuffer] = [SRAMBuffer(self, i) for i in range(size)]
+        self._free: list[SRAMBuffer] = []
+        self._unminted = size
         self._waiters: list[SimEvent] = []
         #: How many acquires found the pool empty (overrun statistics).
         self.misses = 0
@@ -55,11 +64,24 @@ class BufferPool:
 
     @property
     def free(self) -> int:
-        return len(self._free)
+        return len(self._free) + self._unminted
 
     @property
     def in_use(self) -> int:
-        return self.size - len(self._free)
+        return self.size - len(self._free) - self._unminted
+
+    def _take(self) -> SRAMBuffer | None:
+        """Mark the next free buffer in use and return it, or ``None``."""
+        if self._free:
+            buf = self._free.pop()
+        elif self._unminted:
+            self._unminted -= 1
+            buf = SRAMBuffer(self, self._unminted)
+        else:
+            return None
+        buf.in_use = True
+        self.max_in_use = max(self.max_in_use, self.in_use)
+        return buf
 
     def try_acquire(self) -> SRAMBuffer | None:
         """Take a buffer now, or ``None`` if the pool is empty.
@@ -67,12 +89,9 @@ class BufferPool:
         Used on the wire-receive path, where a NIC with no free buffer
         simply cannot latch the incoming packet.
         """
-        if not self._free:
+        buf = self._take()
+        if buf is None:
             self.misses += 1
-            return None
-        buf = self._free.pop()
-        buf.in_use = True
-        self.max_in_use = max(self.max_in_use, self.in_use)
         return buf
 
     def acquire(self) -> SimEvent:
@@ -83,13 +102,11 @@ class BufferPool:
         does not.
         """
         ev = self.sim.event(name=f"{self.name}.acquire")
-        if self._free and not self._waiters:
-            buf = self._free.pop()
-            buf.in_use = True
-            self.max_in_use = max(self.max_in_use, self.in_use)
-            ev.succeed(buf)
-        else:
+        buf = None if self._waiters else self._take()
+        if buf is None:
             self._waiters.append(ev)
+        else:
+            ev.succeed(buf)
         return ev
 
     def release(self, buf: SRAMBuffer) -> None:

@@ -123,6 +123,11 @@ def _is_real(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value: Any) -> bool:
+    """An int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _unknown_keys(data: dict[str, Any], cls: type, what: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{what} must be an object, got {data!r}")
@@ -179,6 +184,8 @@ class WorkloadSpec:
             raise ConfigError(f"max_skew must be >= 0, got {self.max_skew}")
         if self.group is not None:
             object.__setattr__(self, "group", tuple(self.group))
+            if not self.group:
+                raise ConfigError("group must name at least one member")
             if self.root in self.group:
                 raise ConfigError(
                     f"root {self.root} must not be in the group"
@@ -248,8 +255,7 @@ class TelemetrySpec:
                 f"telemetry sample must be a number in [0, 1], "
                 f"got {self.sample!r}"
             )
-        if (not isinstance(self.cap, int) or isinstance(self.cap, bool)
-                or self.cap < 1):
+        if not _is_int(self.cap) or self.cap < 1:
             raise ConfigError(
                 f"telemetry cap must be an int >= 1, got {self.cap!r}"
             )
@@ -292,12 +298,14 @@ class MeasurementSpec:
             raise ConfigError("measurement needs at least one message size")
         if any(not isinstance(s, int) or s < 0 for s in self.sizes):
             raise ConfigError(f"sizes must be ints >= 0, got {self.sizes}")
-        if self.iterations < 1:
+        if not _is_int(self.iterations) or self.iterations < 1:
             raise ConfigError(
-                f"iterations must be >= 1, got {self.iterations}"
+                f"iterations must be an int >= 1, got {self.iterations!r}"
             )
-        if self.warmup < 0:
-            raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
+        if not _is_int(self.warmup) or self.warmup < 0:
+            raise ConfigError(
+                f"warmup must be an int >= 0, got {self.warmup!r}"
+            )
         if self.metric and self.metric not in METRIC_BY_KIND.values():
             raise ConfigError(
                 f"unknown metric {self.metric!r}; known: "

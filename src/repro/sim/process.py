@@ -51,7 +51,10 @@ class Process(SimEvent):
         self._target: SimEvent | None = None
         #: The bound resume method, created once — registering a fresh
         #: ``self._resume`` on every yield would allocate a bound-method
-        #: object per event on the kernel's hottest path.
+        #: object per event on the kernel's hottest path.  It refers back
+        #: to the process, so every exit drops it: a finished process is
+        #: then freed by reference counting as soon as it is dropped,
+        #: instead of waiting for the cyclic garbage collector.
         self._resume_cb = self._resume
         # Kick off at the current instant, with urgent priority so a
         # just-created process starts before same-time ordinary events.
@@ -102,9 +105,11 @@ class Process(SimEvent):
                 else:
                     target = self._throw(event._value)
             except StopIteration as stop:
+                self._resume_cb = None
                 self.succeed(stop.value, priority=0)
                 return
             except BaseException as exc:
+                self._resume_cb = None
                 if self.callbacks:
                     # Someone is waiting on this process: propagate to them.
                     self.fail(exc, priority=0)
@@ -124,6 +129,7 @@ class Process(SimEvent):
                 try:
                     self._throw(err)
                 except StopIteration as stop:
+                    self._resume_cb = None
                     self.succeed(stop.value, priority=0)
                     return
                 raise err

@@ -1,9 +1,8 @@
 """Shared-resource primitives: semaphores and FIFO stores.
 
 These model contended hardware in the stack: the LANai processor and PCI
-bus are capacity-1 :class:`Resource` objects, packet queues are
-:class:`Store` objects, and bounded buffer pools are stores pre-filled with
-buffer objects.
+bus are capacity-1 :class:`Resource` objects, and packet queues are
+:class:`Store` objects.
 
 Kernel v2 adds uncontended fast paths: :meth:`Resource.use_fast` grants a
 free resource inline with a single hold-end event (no
@@ -83,10 +82,17 @@ class Resource:
         return len(self._waiting)
 
     def request(self, priority: int = 0) -> Request:
+        """Claim one unit: the returned :class:`Request` succeeds, with
+        value ``None``, once the claim is granted — at once if a unit is
+        free and nobody is queued.  Pass the request itself to
+        :meth:`release`.  (The value is not the request: a request
+        holding itself would be a reference cycle that only the cyclic
+        garbage collector could free.)
+        """
         req = Request(self, priority)
         if self._in_use < self.capacity and not self._waiting:
             self._in_use += 1
-            req.succeed(req)
+            req.succeed()
         else:
             heapq.heappush(self._waiting, (priority, next(self._seq), req))
         return req
@@ -99,7 +105,7 @@ class Resource:
         while self._waiting and self._in_use < self.capacity:
             _prio, _seq, nxt = heapq.heappop(self._waiting)
             self._in_use += 1
-            nxt.succeed(nxt)
+            nxt.succeed()
 
     def release(self, request: Request) -> None:
         """Return the unit held by *request*."""

@@ -1,5 +1,8 @@
 """ScenarioSpec serialization and validation."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import ClusterConfig, cost_from_dict, cost_to_dict
@@ -15,6 +18,8 @@ from repro.scenario import (
     TrafficSpec,
     WorkloadSpec,
 )
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 
 def rich_spec() -> ScenarioSpec:
@@ -190,6 +195,23 @@ def test_cross_validation_against_cluster():
 def test_unknown_keys_and_bad_json_rejected(payload, match):
     with pytest.raises(ConfigError, match=match):
         ScenarioSpec.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, match",
+    [
+        ("measurement", "iterations", "3", "iterations"),
+        ("cluster", "n_nodes", 8.5, "n_nodes"),
+        ("workload", "group", [], "group"),
+    ],
+)
+def test_probe_inputs_fail_at_load(section, key, value, match):
+    # Each of these once got past validation: a TypeError at load, a
+    # TypeError inside the run, and a run that ran out of events.
+    data = json.loads((EXAMPLES / "nack_fec_lossy.json").read_text())
+    data[section][key] = value
+    with pytest.raises(ConfigError, match=match):
+        ScenarioSpec.from_json(json.dumps(data))
 
 
 def test_loss_spec_builds_each_model_kind():
