@@ -286,11 +286,11 @@ class Network:
         #: Packets discarded because a link/switch on their path was
         #: down (distinct from ``dropped``, the loss-model CRC drops).
         self.failure_dropped = 0
-        # Per-packet fast path: routes are static, so hold direct
-        # references here (one dict probe per traversal) and fold the
+        # Per-packet fast path: probe the topology's own route memo (one
+        # dict probe per traversal; the topology clears it in place on
+        # every wiring change and failure transition) and fold the
         # bandwidth division into a multiply.
-        self._routes: dict[tuple[int, int], list] = {}
-        self._topo_version = topology.version
+        self._routes: dict[tuple[int, int], list] = topology._route_cache
         self._inv_bandwidth = 1.0 / topology.bandwidth
         # Partitioned execution (repro.sim.parallel): this network's
         # shard id and the conductor's message-post callable.  ``None``
@@ -327,15 +327,9 @@ class Network:
             raise RoutingError(f"no NIC attached at {packet.dst}")
         key = (packet.src, packet.dst)
         links = self._routes.get(key)
-        if links is None or self._topo_version != self.topology.version:
-            if self._topo_version != self.topology.version:
-                # cable() rewired the fabric (or a failure transition
-                # flipped link state) since these routes were cached;
-                # shortest paths may have changed.
-                self._routes.clear()
-                self._topo_version = self.topology.version
+        if links is None:
             try:
-                links = self._routes[key] = self.topology.route(*key)
+                links = self.topology.route(*key)
             except RoutingError:
                 topo = self.topology
                 if not topo._down_edges and not topo._down_switches:
@@ -384,12 +378,9 @@ class Network:
         """
         key = (packet.src, packet.dst)
         links = self._routes.get(key)
-        if links is None or self._topo_version != self.topology.version:
-            if self._topo_version != self.topology.version:
-                self._routes.clear()
-                self._topo_version = self.topology.version
+        if links is None:
             try:
-                links = self._routes[key] = self.topology.route(*key)
+                links = self.topology.route(*key)
             except RoutingError:
                 self._drop_unroutable(packet, None)
                 return

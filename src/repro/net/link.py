@@ -111,9 +111,5 @@ class Link:
         sim = self.sim
         sim.schedule_callback(sim._now + duration, self._release_cb)
 
-    def account(self, packet: "Packet") -> None:
-        self.bytes_carried += packet.wire_size
-        self.packets_carried += 1
-
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.bandwidth}B/us lat={self.latency}us>"

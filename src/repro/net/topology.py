@@ -7,9 +7,11 @@ arbitrary (NIC placement plus switch edge list) fabrics.
 
 Myrinet is source-routed: the GM mapper computes one route per pair and
 recomputes routes only after a fabric change.  The topology keeps its own
-adjacency lists in cabling order.  One breadth-first search per source NIC,
-over live switches and cables, records every equal-distance predecessor;
-a route is one of the shortest paths those predecessors spell out, picked
+adjacency lists in cabling order.  A NIC has exactly one cable, so its
+shortest paths are that cable followed by the shortest paths of the
+switch at its other end.  One breadth-first search per such switch, over
+live switches and cables, records every equal-distance predecessor; a
+route is one of the shortest paths those predecessors spell out, picked
 deterministically per pair.  Searches, routes and route latencies are
 memoized until the next wiring change or failure transition.
 """
@@ -65,18 +67,24 @@ class Topology:
         }
         #: directed links keyed by (node, node)
         self._links: dict[tuple, Link] = {}
+        #: (src, dst) -> link list.  The fabric probes this dict directly
+        #: (:class:`repro.net.fabric.Network`), so it is only ever
+        #: cleared in place, never rebound.
         self._route_cache: dict[tuple[int, int], list[Link]] = {}
         self._latency_cache: dict[tuple[int, int], float] = {}
-        #: per source NIC: every node it reaches over live links, mapped
-        #: to that node's predecessors on shortest paths from the source
-        self._bfs_cache: dict[int, dict[tuple, list[tuple]]] = {}
+        #: per switch a NIC hangs off: every node it reaches over live
+        #: links, mapped to that node's predecessors on shortest paths
+        #: from the switch
+        self._bfs_cache: dict[tuple, dict[tuple, tuple]] = {}
+        #: every distinct predecessor tuple of the memoized searches, so
+        #: nodes with the same predecessors share one tuple
+        self._pred_tuples: dict[tuple, tuple] = {}
         #: Bumped on every wiring change (:meth:`cable`) and on every
         #: failure transition (:meth:`set_link_state` /
-        #: :meth:`set_switch_state`).  Derived caches outside this class
-        #: — e.g. the partition planner's cut-edge scan
-        #: (:mod:`repro.sim.parallel`) and the fabric's per-network route
-        #: table — key on it so repeated lookahead computations are
-        #: O(cut), re-scanned only after the fabric actually changes.
+        #: :meth:`set_switch_state`).  The partition planner's cut-edge
+        #: scan (:mod:`repro.sim.parallel`) keys on it, so repeated
+        #: lookahead computations are O(cut), re-scanned only after the
+        #: fabric actually changes.
         self.version = 0
         #: Failed cables (canonical sorted endpoint pairs) and switches.
         #: Routes are computed on the live subgraph; packets already in
@@ -93,10 +101,16 @@ class Topology:
         return sw
 
     def cable(self, a: tuple, b: tuple) -> None:
-        """Run a full-duplex cable between nodes *a* and *b*."""
+        """Run a full-duplex cable between nodes *a* and *b*.
+
+        A NIC has one port, so a second cable at a NIC is rejected:
+        routing relies on every NIC's paths starting with its one cable.
+        """
         for endpoint in (a, b):
             if endpoint not in self._adj:
                 raise ConfigError(f"unknown endpoint {endpoint!r}")
+            if endpoint[0] == _NIC and self._adj[endpoint]:
+                raise ConfigError(f"NIC {endpoint[1]} already has a cable")
         if (a, b) in self._links:
             raise ConfigError(f"duplicate cable {a!r} <-> {b!r}")
         self._adj[a].append(b)
@@ -104,11 +118,8 @@ class Topology:
         # A new cable can shorten existing shortest paths: memoized
         # searches, routes and latency sums are stale the moment the
         # fabric grows.
-        self._bfs_cache.clear()
-        self._route_cache.clear()
-        self._latency_cache.clear()
+        self._forget_routes()
         self._cables = None
-        self.version += 1
         for u, v in ((a, b), (b, a)):
             # A link terminating at a switch pays that switch's routing
             # (head-arbitration) delay on top of cable propagation.
@@ -208,7 +219,12 @@ class Topology:
                 and u not in down_nodes
                 and v not in down_nodes
             )
+        self._forget_routes()
+
+    def _forget_routes(self) -> None:
+        """Drop every search, route and latency memo; bump :attr:`version`."""
         self._bfs_cache.clear()
+        self._pred_tuples.clear()
         self._route_cache.clear()
         self._latency_cache.clear()
         self.version += 1
@@ -222,24 +238,38 @@ class Topology:
             return True
         if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
             return False
-        return (_NIC, dst) in self._search(src)
+        reach = self._reach(src)
+        return reach is not None and (_NIC, dst) in reach[1]
 
-    def _search(self, src: int) -> dict[tuple, list[tuple]]:
-        """Breadth-first search from NIC *src* over live links, memoized.
+    def _reach(self, src: int) -> tuple[tuple, dict[tuple, tuple]] | None:
+        """The node NIC *src* is cabled to, and that node's search.
 
-        Maps every node reachable from *src* to all of its predecessors
-        at one hop less from *src*, so the shortest paths to a node are
-        exactly its predecessor chains.  ``Link.up`` is the live view:
-        :meth:`_state_changed` clears it on failed cables and on every
-        cable of a failed switch.
+        ``None`` when the NIC has no live cable (it, or the switch at its
+        other end, is down): the NIC then reaches nothing.
         """
-        preds = self._bfs_cache.get(src)
+        source = (_NIC, src)
+        cabled = self._adj[source]
+        if not cabled or not self._links[(source, cabled[0])].up:
+            return None
+        return cabled[0], self._search(cabled[0])
+
+    def _search(self, root: tuple) -> dict[tuple, tuple]:
+        """Breadth-first search from *root* over live links, memoized.
+
+        *root* is the switch a NIC is cabled to, so one search serves
+        every NIC on that switch.  Maps every node reachable from *root*
+        to all of its predecessors at one hop less from *root*, so the
+        shortest paths to a node are exactly its predecessor chains.
+        Equal predecessor tuples are one object, shared across searches.
+        ``Link.up`` is the live view: :meth:`_state_changed` clears it on
+        failed cables and on every cable of a failed switch.
+        """
+        preds = self._bfs_cache.get(root)
         if preds is not None:
             return preds
-        adj, links = self._adj, self._links
-        source = (_NIC, src)
-        preds = {source: []}
-        frontier = [source]
+        adj, links, shared = self._adj, self._links, self._pred_tuples
+        preds = {root: ()}
+        frontier = [root]
         while frontier:
             level: dict[tuple, list[tuple]] = {}
             for u in frontier:
@@ -250,9 +280,11 @@ class Topology:
                         level[v].append(u)
                     else:
                         level[v] = [u]
-            preds.update(level)
+            for v, us in level.items():
+                key = tuple(us)
+                preds[v] = shared.setdefault(key, key)
             frontier = level
-        self._bfs_cache[src] = preds
+        self._bfs_cache[root] = preds
         return preds
 
     # -- routing -------------------------------------------------------------
@@ -273,16 +305,18 @@ class Topology:
         for nic in (src, dst):
             if not 0 <= nic < self.n_nodes:
                 raise RoutingError(f"unknown NIC id {nic}")
-        preds = self._search(src)
+        reach = self._reach(src)
         source, target = (_NIC, src), (_NIC, dst)
-        if target not in preds:
+        if reach is None or target not in reach[1]:
             raise RoutingError(f"no path from NIC {src} to NIC {dst}")
+        root, preds = reach
         # Every shortest path, spelled backwards from the target: all of
-        # them are the same length, so they reach the source together.
+        # them are the same length, so they reach the root together.
+        # The source's own cable comes first on every one of them.
         paths = [[target]]
-        while paths[0][-1] != source:
+        while paths[0][-1] != root:
             paths = [path + [u] for path in paths for u in preds[path[-1]]]
-        paths = [path[::-1] for path in paths]
+        paths = [[source, *path[::-1]] for path in paths]
         # Myrinet source routes are computed once and dispersed across
         # equal-cost paths (spine switches in a Clos); pick one
         # deterministically per pair so traffic does not funnel through

@@ -122,19 +122,16 @@ class Process(SimEvent):
                 # measurable at one per yield.
                 cbs = target.callbacks
             except AttributeError:
-                err = RuntimeError(
+                event = _failed(self.sim, RuntimeError(
                     f"process {self.name!r} yielded {target!r}, "
                     "which is not a SimEvent"
-                )
-                try:
-                    self._throw(err)
-                except StopIteration as stop:
-                    self._resume_cb = None
-                    self.succeed(stop.value, priority=0)
-                    return
-                raise err
+                ))
+                continue
             if target.sim is not self.sim:
-                raise ValueError("yielded an event from a different simulator")
+                event = _failed(self.sim, ValueError(
+                    "yielded an event from a different simulator"
+                ))
+                continue
             if cbs is None:
                 # Already processed: loop around synchronously (no
                 # rescheduling), keeping same-instant semantics cheap and
@@ -144,3 +141,19 @@ class Process(SimEvent):
             self._target = target
             cbs.append(self._resume_cb)
             return
+
+
+def _failed(sim: "Simulator", exc: BaseException) -> SimEvent:
+    """A failed event, already processed, that is never scheduled.
+
+    A bad yield is thrown into the process exactly as a failed event
+    would be: a process that catches the error carries on, and one that
+    does not fails into its waiters, or else out of ``run()``.
+    """
+    ev = SimEvent.__new__(SimEvent)
+    ev.sim = sim
+    ev.callbacks = None
+    ev._value = exc
+    ev._ok = False
+    ev.name = None
+    return ev

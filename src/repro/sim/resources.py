@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.sim.events import PENDING, SimEvent
 
@@ -194,12 +194,18 @@ class Store:
     items and getters; ``try_get`` takes a queued item synchronously.
     """
 
+    #: Builds the item container: a FIFO here, a heap in a subclass.
+    _container = deque
+
     def __init__(self, sim: "Simulator", name: str | None = None):
         self.sim = sim
         self.name = name
         self._get_name = f"get:{name}" if name else None
-        self._items: deque[Any] = deque()
-        self._getters: deque[SimEvent] = deque()
+        self._items = self._container()
+        #: Waiting getter events, oldest first.  A list, not a deque: a
+        #: store seldom has more than one waiting getter, and an empty
+        #: deque costs 760 bytes against a list's 56.
+        self._getters: list[SimEvent] = []
 
     def __len__(self) -> int:
         return len(self._items)
@@ -245,7 +251,7 @@ class Store:
 
     def _dispatch(self) -> None:
         while self._items and self._getters:
-            getter = self._getters.popleft()
+            getter = self._getters.pop(0)
             getter.succeed(self._take())
 
 
@@ -253,71 +259,33 @@ class PriorityStore(Store):
     """A store whose items are returned lowest-key first.
 
     Items are ``(priority_key, payload)`` pairs inserted with
-    :meth:`put_priority`; plain :meth:`put` uses priority ``0``.
+    :meth:`put_priority`; plain :meth:`put` uses priority ``0``.  The
+    item container is a heap of ``(priority_key, seq, payload)``, so
+    equal keys come out in insertion order.
     """
+
+    _container = list
 
     def __init__(self, sim: "Simulator", name: str | None = None):
         super().__init__(sim, name=name)
-        self._heap: list[tuple[Any, int, Any]] = []
         self._seq = count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     @property
     def items(self) -> tuple[Any, ...]:
-        return tuple(payload for _k, _s, payload in sorted(self._heap))
+        return tuple(payload for _k, _s, payload in sorted(self._items))
 
     def put(self, item: Any) -> None:
         self.put_priority(0, item)
 
     def put_priority(self, priority: Any, item: Any) -> None:
-        heapq.heappush(self._heap, (priority, next(self._seq), item))
+        heapq.heappush(self._items, (priority, next(self._seq), item))
         if self._getters:
             self._dispatch()
 
-    def get(self) -> SimEvent:
-        ev = SimEvent.__new__(SimEvent)
-        ev.sim = self.sim
-        ev.callbacks = []
-        ev._value = PENDING
-        ev._ok = None
-        ev.name = self._get_name
-        self._getters.append(ev)
-        if self._heap:
-            self._dispatch()
-        return ev
-
     def try_get(self) -> Any:
-        if self._heap and not self._getters:
-            return heapq.heappop(self._heap)[2]
+        if self._items and not self._getters:
+            return heapq.heappop(self._items)[2]
         return EMPTY
 
     def _take(self) -> Any:
-        return heapq.heappop(self._heap)[2]
-
-    def _dispatch(self) -> None:
-        while self._heap and self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(self._take())
-
-
-def drain(store: Store, sink: Callable[[Any], Iterable[SimEvent] | None]):
-    """Build a generator that forever gets items and feeds them to *sink*.
-
-    If *sink* returns a generator it is run inline (``yield from``); this is
-    the standard shape of NIC engine loops.  Queued items are taken via
-    the :meth:`Store.try_get` fast path (no getter event); the loop only
-    suspends on ``get()`` when the store runs dry.
-    """
-
-    def _loop() -> Generator[SimEvent, Any, None]:
-        while True:
-            item = store.try_get()
-            if item is EMPTY:
-                item = yield store.get()
-            result = sink(item)
-            if result is not None:
-                yield from result
-
-    return _loop()
+        return heapq.heappop(self._items)[2]

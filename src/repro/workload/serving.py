@@ -1,10 +1,10 @@
 """The sustained-traffic serving workload.
 
 The paper's measurements are one-shot broadcasts; the regime its claims
-actually target — and ROADMAP item 5's north star — is *serving*: many
-concurrent multicast groups over one cluster, continuous message
-arrivals, membership churn.  :class:`TrafficEngine` runs that workload
-from a :class:`~repro.scenario.spec.TrafficSpec`:
+actually target — and the ROADMAP's sustained-traffic serving mode — is
+*serving*: many concurrent multicast groups over one cluster,
+continuous message arrivals, membership churn.  :class:`TrafficEngine`
+runs that workload from a :class:`~repro.scenario.spec.TrafficSpec`:
 
 * ``n_groups`` groups share the cluster; group *g* is rooted at node
   ``g % n_nodes`` with ``group_size`` members on the following nodes,

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, RoutingError
+from repro.net import Packet, PacketHeader, PacketType
 from repro.net.failure import FailureEvent, FailureInjector, FailureSpec
 from repro.sim.parallel import PartitionPlan
 
@@ -12,6 +13,12 @@ from repro.sim.parallel import PartitionPlan
 def _cluster(n=16, failures=None, seed=0, topology="clos"):
     return Cluster(ClusterConfig(
         n_nodes=n, seed=seed, topology=topology, failures=failures
+    ))
+
+
+def _packet(src, dst):
+    return Packet(header=PacketHeader(
+        ptype=PacketType.DATA, src=src, dst=dst, origin=src, payload=8,
     ))
 
 
@@ -87,6 +94,7 @@ def test_link_down_bumps_version_and_invalidates_route_memo():
     route_before = topo.route(1, 5)
     topo.route_latency(1, 5)
     assert topo._route_cache and topo._latency_cache
+    assert net._routes[(1, 5)] is route_before
     v0 = topo.version
 
     assert topo.set_link_state(cable, up=False) is True
@@ -97,12 +105,19 @@ def test_link_down_bumps_version_and_invalidates_route_memo():
     with pytest.raises(RoutingError):
         topo.route(1, 5)
 
-    # The fabric's own route memo is version-keyed: it must notice too.
-    net._routes[(1, 5)] = route_before
-    assert net._topo_version != topo.version
+    # The fabric's next lookup misses too, and routes on the failed
+    # fabric: the packet is dropped at injection as unroutable instead
+    # of taking the pre-failure route into the dead cable.
+    assert (1, 5) not in net._routes
+    net.inject(_packet(1, 5))
+    assert net.failure_dropped == 1
 
     assert topo.set_link_state(cable, up=True) is True
     assert topo.version == v0 + 2
+    assert (1, 5) not in net._routes
+    net.inject(_packet(1, 5))
+    assert net.failure_dropped == 1
+    assert net._routes[(1, 5)] == route_before
     assert topo.route(1, 5) == route_before
 
 

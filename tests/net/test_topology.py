@@ -1,5 +1,7 @@
 """Unit tests for topologies, routing, and the fabric timing model."""
 
+import zlib
+
 import pytest
 
 from repro.errors import ConfigError, RoutingError
@@ -243,3 +245,109 @@ class TestDispersiveRouting:
             return [l.name for l in topo.route(0, 31)]
 
         assert route_names(0) == route_names(1)
+
+
+def _reference_routes(topo, src):
+    """Route by one breadth-first search from NIC *src* itself, as the
+    topology did before it searched per switch: every shortest path,
+    sorted, one picked by ``crc32``.  Maps each NIC *src* reaches to
+    its node path."""
+    source = ("nic", src)
+    preds = {source: []}
+    frontier = [source]
+    while frontier:
+        level = {}
+        for u in frontier:
+            for v in topo.neighbors(u):
+                if v not in preds and topo.link_is_up(u, v):
+                    level.setdefault(v, []).append(u)
+        preds.update(level)
+        frontier = list(level)
+    routes = {}
+    for dst in range(topo.n_nodes):
+        if dst == src or ("nic", dst) not in preds:
+            continue
+        paths = [[("nic", dst)]]
+        while paths[0][-1] != source:
+            paths = [path + [u] for path in paths for u in preds[path[-1]]]
+        paths = sorted(path[::-1] for path in paths)
+        routes[dst] = paths[zlib.crc32(f"{src}->{dst}".encode()) % len(paths)]
+    return routes
+
+
+def _grid(sim):
+    """3×4 switch grid, two NICs per switch: many equal-cost paths."""
+    edges = [(s, s + 1) for s in range(12) if s % 4 != 3]
+    edges += [(s, s + 4) for s in range(8)]
+    placement = {nic: nic // 2 for nic in range(24)}
+    return from_graph(sim, placement, edges, BW, LINK_LAT, HOP_LAT)
+
+
+class TestRouteMemo:
+    """One memoized search per switch, against a per-NIC reference."""
+
+    @pytest.mark.parametrize("build", ["grid", "clos"])
+    def test_every_pair_matches_per_nic_search(self, build):
+        sim = Simulator()
+        topo = _grid(sim) if build == "grid" else clos(
+            sim, 64, BW, LINK_LAT, HOP_LAT
+        )
+        ends = {link: key for key, link in topo._links.items()}
+        switch_cables = [
+            i for i, (a, b) in enumerate(topo.cables()) if a[0] == b[0]
+        ]
+        states = [
+            ([], []),
+            (switch_cables[1:4], []),
+            ([topo.nic_cable_index(3)], []),
+            ([], [1]),
+        ]
+        for cables, switches in states:
+            for cable in cables:
+                topo.set_link_state(cable, up=False)
+            for switch in switches:
+                topo.set_switch_state(switch, up=False)
+            for src in range(topo.n_nodes):
+                want = _reference_routes(topo, src)
+                for dst in range(topo.n_nodes):
+                    if src == dst:
+                        continue
+                    assert topo.has_path(src, dst) == (dst in want)
+                    if dst not in want:
+                        with pytest.raises(
+                            RoutingError,
+                            match=f"^no path from NIC {src} to NIC {dst}$",
+                        ):
+                            topo.route(src, dst)
+                        continue
+                    links = topo.route(src, dst)
+                    got = [ends[link][0] for link in links]
+                    assert got + [ends[links[-1]][1]] == want[dst]
+            for cable in cables:
+                topo.set_link_state(cable, up=True)
+            for switch in switches:
+                topo.set_switch_state(switch, up=True)
+
+    def test_one_search_per_switch_with_shared_predecessors(self):
+        _, topo = make_topo("clos", 64)
+        topo.validate()  # routes every ordered pair
+        assert len(topo._bfs_cache) <= topo.switch_count()
+        # Only the eight leaves have NICs, so only they are searched from.
+        assert set(topo._bfs_cache) == {("switch", s) for s in range(8)}
+        preds = [
+            t for search in topo._bfs_cache.values() for t in search.values()
+        ]
+        assert len({id(t) for t in preds}) == len(set(preds))
+
+    def test_second_cable_at_a_nic_rejected(self):
+        _, topo = make_topo("clos", 32)
+        version = topo.version
+        for a, b in (
+            (("nic", 0), ("switch", 1)),
+            (("switch", 1), ("nic", 0)),
+            (("nic", 0), ("nic", 1)),
+        ):
+            with pytest.raises(ConfigError, match="NIC 0 already has a cable"):
+                topo.cable(a, b)
+        assert topo.neighbors(("nic", 0)) == [("switch", 0)]
+        assert topo.version == version

@@ -193,13 +193,31 @@ class TestCutScanCache:
         assert len(after) < hops_before  # the shortcut is used
 
     def test_network_route_cache_follows_version(self):
-        from repro.net import Network
+        from repro.net import Network, Packet, PacketHeader, PacketType
 
         sim, topo = make_topo("line", 6, nodes_per_switch=2)
         net = Network(sim, topo)
-        assert net._topo_version == topo.version
+        delivered = []
+        for nic in range(6):
+            net.attach(nic, delivered.append)
+
+        def send():
+            net.inject(Packet(header=PacketHeader(
+                ptype=PacketType.DATA, src=0, dst=5, origin=0, payload=8,
+            )))
+
+        send()
+        before = net._routes[(0, 5)]
+        version = topo.version
         topo.cable(("switch", 0), ("switch", 2))
-        assert net._topo_version != topo.version  # resyncs on next lookup
+        assert topo.version > version
+        assert (0, 5) not in net._routes  # the next lookup misses...
+        send()
+        after = net._routes[(0, 5)]
+        assert len(after) < len(before)  # ...and takes the shortcut
+        assert after == topo.route(0, 5)
+        sim.run()
+        assert len(delivered) == 2
 
 
 class TestRunWindow:

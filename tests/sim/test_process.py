@@ -60,6 +60,70 @@ def test_yield_non_event_raises_inside_process():
     assert caught and "not a SimEvent" in caught[0]
 
 
+def test_caught_non_event_yield_lets_the_process_carry_on():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        try:
+            yield "not an event"  # type: ignore[misc]
+        except RuntimeError as exc:
+            log.append((sim.now, "not a SimEvent" in str(exc)))
+        yield sim.timeout(1.0)
+        log.append((sim.now, "resumed"))
+
+    p = sim.process(proc())
+    sim.run()
+    assert log == [(0.0, True), (1.0, "resumed")]
+    assert not p.is_alive
+
+
+def test_foreign_event_is_thrown_into_the_process():
+    sim, other = Simulator(), Simulator()
+    caught = []
+
+    def proc():
+        try:
+            yield other.timeout(1.0)
+        except ValueError as exc:
+            caught.append((sim.now, str(exc)))
+        yield sim.timeout(2.0)
+        return "done"
+
+    assert sim.run(until=sim.process(proc())) == "done"
+    assert caught == [(0.0, "yielded an event from a different simulator")]
+    assert sim.now == 2.0
+
+
+def test_uncaught_bad_yields_fail_like_failed_events():
+    sim, other = Simulator(), Simulator()
+
+    def non_event():
+        yield "not an event"  # type: ignore[misc]
+
+    sim.process(non_event())
+    with pytest.raises(
+        RuntimeError,
+        match="process 'non_event' yielded 'not an event', "
+        "which is not a SimEvent",
+    ):
+        sim.run()
+
+    def foreign():
+        yield other.timeout(1.0)
+
+    def waiter():
+        with pytest.raises(ValueError, match="different simulator"):
+            yield sim.process(foreign())
+        return "saw it"
+
+    assert sim.run(until=sim.process(waiter())) == "saw it"
+
+    sim.process(foreign())
+    with pytest.raises(ValueError, match="different simulator"):
+        sim.run()
+
+
 def test_failed_event_raises_in_process():
     sim = Simulator()
     ev = sim.event()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim.resources import EMPTY
 
 
 class TestResource:
@@ -236,3 +237,37 @@ class TestPriorityStore:
 
         sim.run(until=sim.process(consumer()))
         assert out == ["a", "b", "c"]
+
+    def test_multiple_getters_fifo(self):
+        sim = Simulator()
+        store = PriorityStore(sim)
+        out = []
+
+        def consumer(tag):
+            item = yield store.get()
+            out.append((tag, item))
+
+        sim.process(consumer("first"))
+        sim.process(consumer("second"))
+
+        def producer():
+            yield sim.timeout(1.0)
+            store.put_priority(5, "low")
+            store.put_priority(1, "high")
+
+        sim.process(producer())
+        sim.run()
+        # Each put goes straight to the oldest waiting getter.
+        assert out == [("first", "low"), ("second", "high")]
+        assert len(store) == 0 and store.items == ()
+        assert store.try_get() is EMPTY
+
+    def test_len_items_and_try_get(self):
+        sim = Simulator()
+        store = PriorityStore(sim)
+        store.put_priority(3, "c")
+        store.put("a")
+        store.put_priority(3, "d")
+        assert len(store) == 3
+        assert store.items == ("a", "c", "d")
+        assert [store.try_get() for _ in range(4)] == ["a", "c", "d", EMPTY]
