@@ -9,6 +9,10 @@ The cluster owns the simulator, topology, network, and nodes, opens GM
 port 0 on every node, and preposts receive tokens so experiments start
 from the paper's steady state.
 
+Whoever builds a cluster closes it once its results are read
+(:meth:`Cluster.close`, or a ``with`` block), so reference counting,
+not the cyclic garbage collector, frees it.
+
 Partitioned execution (:mod:`repro.sim.parallel`) builds one cluster per
 shard with ``local_nodes`` restricted to that shard: the topology is
 replicated everywhere (routes must be derivable on any shard), but only
@@ -140,6 +144,26 @@ class Cluster:
 
     def run(self, until: float | SimEvent | None = None) -> Any:
         return self.sim.run(until=until)
+
+    def close(self) -> None:
+        """Break every reference cycle the layers built; the cluster
+        cannot run afterwards.  The simulator closes last, dropping what
+        ending the other layers' processes queued.
+        """
+        for node in self.nodes:
+            if node is not None:
+                node.close()
+        self.network.close()
+        self.topology.close()
+        if self.failures is not None:
+            self.failures.close()
+        self.sim.close()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     @property
     def now(self) -> float:

@@ -96,7 +96,6 @@ class CollectiveEngine:
     """One node's NIC-based collective support."""
 
     def __init__(self, node: "Node"):
-        self.node = node
         self.nic = node.nic
         self.sim = node.sim
         self.cost = node.cost

@@ -185,7 +185,19 @@ class GMEngine:
         # requests — "the request processing is completely overlapped
         # with the transmission of a previous queued packet" (paper §6.1).
         self._stage_queue: Store = Store(nic.sim, name=f"{nic.name}.stage")
-        nic.sim.process(self._staging_loop(), name=f"{nic.name}.stager")
+        self._stager = nic.sim.process(
+            self._staging_loop(), name=f"{nic.name}.stager"
+        )
+
+    def close(self) -> None:
+        """Teardown: end the stager and drop what refers back here (staged
+        jobs, connection timer callbacks, ports, helpers)."""
+        self._stager.close()
+        self._stage_queue = None
+        for conn in self._send_conns.values():
+            conn.timer.on_expire = None
+        self.ports.clear()
+        self._receiver = self.policy = None
 
     def _staging_loop(self) -> Generator:
         queue = self._stage_queue

@@ -49,6 +49,12 @@ class Node:
 
         self.coll = CollectiveEngine(self)
 
+    def close(self) -> None:
+        """Teardown: break the cycles of this node's NIC and engines."""
+        self.nic.close()
+        self.gm.close()
+        self.mcast.close()
+
     def open_port(self, port_num: int = 0, owner: Any = None) -> "GMPort":
         """Open a GM port; defaults to owned by this node's host."""
         return self.gm.create_port(port_num, owner if owner is not None else self.host)

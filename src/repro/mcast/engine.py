@@ -41,7 +41,6 @@ class McastEngine:
     """NIC-resident multicast protocol for one node."""
 
     def __init__(self, node: "Node"):
-        self.node = node
         self.nic = node.nic
         self.gm = node.gm
         self.memory = node.memory
@@ -81,6 +80,17 @@ class McastEngine:
         nic.packet_handlers[PacketType.MCAST_FEC] = (
             self.forwarding._handle_mcast_fec
         )
+
+    def close(self) -> None:
+        """Teardown: drop the group timer callbacks and the components,
+        which refer back here."""
+        if self.reliability is None:
+            return  # already closed
+        for group in self.table._groups.values():
+            if group.timer is not None:
+                group.timer.on_expire = None
+        self.reliability.close()
+        self.reliability = self.multisend = self.forwarding = None
 
     # -- group management -------------------------------------------------
     def _handle_create_group(self, cmd: CreateGroupCommand) -> Generator:

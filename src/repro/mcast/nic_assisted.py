@@ -54,7 +54,6 @@ class NicAssistedEngine:
     """
 
     def __init__(self, node: "Node"):
-        self.node = node
         self.nic = node.nic
         self.gm = node.gm
         self.sim = node.sim

@@ -126,6 +126,12 @@ class McastReliability:
         #: ``group.rel_state``), so one pair per family suffices.
         self._engines: dict[str, tuple["SenderEngine", "ReceiverEngine"]] = {}
 
+    def close(self) -> None:
+        """Teardown: drop the policy and engine pairs, which refer back
+        here."""
+        self.policy = None
+        self._engines.clear()
+
     # -- engine dispatch ----------------------------------------------------
     def engine_pair(
         self, group: "GroupState"

@@ -63,6 +63,10 @@ class Communicator:
         #: not act on a group before its membership message arrives).
         self.bcast_groups: dict[int, int] = {}
 
+    def close(self) -> None:
+        """Drop the rank contexts, which refer back here."""
+        self.ranks.clear()
+
     def context(self, rank: int) -> "RankContext":
         return self.ranks[rank]
 

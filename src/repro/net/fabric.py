@@ -307,6 +307,10 @@ class Network:
             raise RoutingError(f"NIC id {nic_id} outside topology")
         self._sinks[nic_id] = sink
 
+    def close(self) -> None:
+        """Teardown: drop the sinks, methods of NICs holding this network."""
+        self._sinks.clear()
+
     def inject(
         self,
         packet: Packet,

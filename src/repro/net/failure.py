@@ -286,6 +286,10 @@ class FailureInjector:
         """Hear about each transition at detection time (not fault time)."""
         self._subscribers.append(callback)
 
+    def close(self) -> None:
+        """Teardown: drop the subscribers, which hold the cluster."""
+        self._subscribers.clear()
+
     def _apply(self, ev: FailureEvent) -> None:
         topo = self.topology
         if ev.action == "link_down":

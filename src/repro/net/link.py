@@ -111,5 +111,9 @@ class Link:
         sim = self.sim
         sim.schedule_callback(sim._now + duration, self._release_cb)
 
+    def close(self) -> None:
+        """Teardown: drop the waiting claims (a waiting walk holds this)."""
+        self._channel._waiting.clear()
+
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.bandwidth}B/us lat={self.latency}us>"

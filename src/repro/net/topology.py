@@ -149,6 +149,14 @@ class Topology:
         b.attach(pb, PortRef(a, pa))
         self.cable((_SWITCH, a.switch_id), (_SWITCH, b.switch_id))
 
+    def close(self) -> None:
+        """Teardown: unwire the switches, which name each other, and drop
+        the claims waiting for each link."""
+        for switch in self.switches:
+            switch._peers.clear()
+        for link in self._links.values():
+            link.close()
+
     def neighbors(self, node: tuple) -> list[tuple]:
         """Nodes cabled to *node*, in cabling order, failed or not."""
         return self._adj[node]

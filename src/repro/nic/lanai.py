@@ -97,9 +97,23 @@ class NIC:
         self.rx_overruns = 0
 
         network.attach(nic_id, self._on_wire_packet)
-        sim.process(self._command_loop(), name=f"{self.name}.cmd")
-        sim.process(self._rx_loop(), name=f"{self.name}.rx")
-        sim.process(self._tx_loop(), name=f"{self.name}.tx")
+        #: The engine loops, kept so :meth:`close` can end them.
+        self._loops = (
+            sim.process(self._command_loop(), name=f"{self.name}.cmd"),
+            sim.process(self._rx_loop(), name=f"{self.name}.rx"),
+            sim.process(self._tx_loop(), name=f"{self.name}.tx"),
+        )
+
+    def close(self) -> None:
+        """Teardown: end the loops and drop what refers back here (queued
+        work and handlers bound to this NIC's engines, freed buffers)."""
+        for loop in self._loops:
+            loop.close()
+        self.host_queue = self.rx_queue = self.tx_queue = None
+        self.packet_handlers.clear()
+        self.command_handlers.clear()
+        self.send_buffers.close()
+        self.recv_buffers.close()
 
     # -- host side ---------------------------------------------------------
     def post_command(self, command: HostCommand) -> None:

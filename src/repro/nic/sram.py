@@ -122,5 +122,9 @@ class BufferPool:
         else:
             self._free.append(buf)
 
+    def close(self) -> None:
+        """Teardown: drop the freed buffers, which refer back here."""
+        self._free.clear()
+
     def __repr__(self) -> str:
         return f"<BufferPool {self.name} {self.free}/{self.size} free>"

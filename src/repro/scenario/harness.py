@@ -164,7 +164,7 @@ class Harness:
 
     # -- lifecycle -----------------------------------------------------------
     def build_cluster(self) -> Cluster:
-        """A fresh cluster for one measurement point."""
+        """A fresh cluster for one measurement point; the caller closes it."""
         cluster = Cluster(self.spec.cluster)
         if self.registry is not None:
             cluster.sim.metrics = self.registry
@@ -197,9 +197,12 @@ class Harness:
             )
         method = getattr(self, "_run_" + kind, None)
         if method is not None:
-            values = {
-                size: method(size) for size in self.spec.measurement.sizes
-            }
+            values = {}
+            for size in self.spec.measurement.sizes:
+                # A fresh cluster per point, closed once its value is
+                # taken (no result holds a reference into the cluster).
+                with self.build_cluster() as cluster:
+                    values[size] = method(cluster, size)
         else:
             try:
                 runner = _WORKLOAD_RUNNERS[kind]
@@ -215,11 +218,10 @@ class Harness:
         )
 
     # -- program templates ---------------------------------------------------
-    def _run_unicast(self, size: int) -> float:
+    def _run_unicast(self, cluster: Cluster, size: int) -> float:
         """Mean one-way GM latency (send post → receive event at the host)."""
         spec = self.spec
         iterations = spec.measurement.iterations
-        cluster = self.build_cluster()
         src = spec.workload.root
         dst = spec.destinations()[0]
         deliveries: list[float] = []
@@ -244,10 +246,9 @@ class Harness:
         cluster.run(until=cluster.sim.all_of([s, r]))
         return mean(d - t0 for d, t0 in zip(deliveries, starts))
 
-    def _run_multisend(self, size: int) -> float:
+    def _run_multisend(self, cluster: Cluster, size: int) -> float:
         """Fig. 3 metric: mean time from post to the last destination's ack."""
         spec = self.spec
-        cluster = self.build_cluster()
         dests = spec.destinations()
         tree = build_tree(
             spec.workload.root, dests,
@@ -281,11 +282,12 @@ class Harness:
         cluster.run(until=cluster.sim.all_of(procs))
         return mean(durations)
 
-    def _run_multicast(self, size: int) -> MulticastMeasurement:
+    def _run_multicast(
+        self, cluster: Cluster, size: int
+    ) -> MulticastMeasurement:
         """Fig. 5 metric for one (system size, message size, scheme) point."""
         spec = self.spec
         cost = spec.cluster.cost
-        cluster = self.build_cluster()
         dests = spec.destinations()
         warmup = spec.measurement.warmup
         total = warmup + spec.measurement.iterations
@@ -348,7 +350,7 @@ class Harness:
             ack_trip=ack_trip,
         )
 
-    def _run_broadcast(self, size: int) -> BroadcastResult:
+    def _run_broadcast(self, cluster: Cluster, size: int) -> BroadcastResult:
         """Fig. 8 metric: one one-shot broadcast, run to quiescence.
 
         Unlike the iterated multicast loop there is no round barrier:
@@ -358,7 +360,6 @@ class Harness:
         run to end at all.
         """
         spec = self.spec
-        cluster = self.build_cluster()
         dests = spec.destinations()
         deliveries: dict[int, float] = {}
         start = [0.0]
@@ -407,7 +408,7 @@ class Harness:
             deliveries=deliveries,
         )
 
-    def _run_mpi_bcast(self, size: int) -> float:
+    def _run_mpi_bcast(self, cluster: Cluster, size: int) -> float:
         """Fig. 4 metric: mean broadcast latency at the MPI level.
 
         One iteration = root's bcast entry to the last rank's bcast exit,
@@ -417,7 +418,6 @@ class Harness:
         """
         spec = self.spec
         cost = spec.cluster.cost
-        cluster = self.build_cluster()
         comm = Communicator(cluster, nic_bcast=spec.workload.nic)
         root_rank = spec.workload.root
         root_enter: dict[int, float] = {}
@@ -433,26 +433,31 @@ class Harness:
                 yield from ctx.bcast(root=root_rank, size=size)
                 last_exit[it] = max(last_exit.get(it, 0.0), ctx.sim.now)
 
-        comm.run(program)
+        try:
+            comm.run(program)
+        finally:
+            comm.close()
         durations = [
             last_exit[it] - root_enter[it] for it in range(warmup, total)
         ]
         ack_trip = measured_ack_trip(cost)
         return mean(durations) + ack_trip
 
-    def _run_mpi_skew(self, size: int):
+    def _run_mpi_skew(self, cluster: Cluster, size: int):
         """Fig. 6/7 metric: host CPU time in MPI_Bcast under process skew."""
         spec = self.spec
-        cluster = self.build_cluster()
         comm = Communicator(cluster, nic_bcast=spec.workload.nic)
-        return run_skew_experiment(
-            comm,
-            size=size,
-            max_skew=spec.workload.max_skew,
-            iterations=spec.measurement.iterations,
-            warmup=spec.measurement.warmup,
-            root=spec.workload.root,
-        )
+        try:
+            return run_skew_experiment(
+                comm,
+                size=size,
+                max_skew=spec.workload.max_skew,
+                iterations=spec.measurement.iterations,
+                warmup=spec.measurement.warmup,
+                root=spec.workload.root,
+            )
+        finally:
+            comm.close()
 
 
 def run_spec(spec: ScenarioSpec, registry: Any = None) -> ScenarioResult:

@@ -212,6 +212,8 @@ class Simulator:
         # is created per modelled wait, and the pure-Python wrapper frame
         # was ~10% of kernel microbenchmark time.
         self.timeout = partial(Timeout, self)
+        #: Set by :meth:`close`; a closed simulator refuses to run.
+        self._closed = False
         KERNEL_COUNTERS.simulators += 1
 
     # -- clock & introspection -------------------------------------------
@@ -436,6 +438,8 @@ class Simulator:
         * a :class:`SimEvent` — run until that event is processed, and
           return its value (raising its exception if it failed).
         """
+        if self._closed:
+            raise RuntimeError("cannot run a closed simulator")
         if isinstance(until, SimEvent):
             if not until.processed:
                 flag: list[bool] = []
@@ -470,6 +474,8 @@ class Simulator:
         (``schedule_callback`` requires ``when >= now``), and they sort
         ahead of nothing they could have caused.
         """
+        if self._closed:
+            raise RuntimeError("cannot run a closed simulator")
         if horizon < self._now:
             raise ValueError(
                 f"run_window({horizon}) is in the past (now={self._now})"
@@ -478,6 +484,45 @@ class Simulator:
         # beyond it lets that work run.
         if horizon > self._now:
             self._dispatch(horizon, True, None)
+
+    def close(self) -> None:
+        """Drop all queued work and refuse to run again.
+
+        Queued events lose their callbacks and timers their functions,
+        and a process waiting on dropped work is ended; what ending it
+        queues (a ``finally`` releasing a resource) is dropped too.
+        Owners end the processes they keep first.  Closing twice is
+        harmless.
+        """
+        self._closed = True
+        # The per-instance partial refers back to the simulator.
+        vars(self).pop("timeout", None)
+        wheel = (self._wheel_l0, self._wheel_l1)
+        while True:
+            work = [entry[3] for entry in self._heap]
+            for bucket in [b for level in wheel for b in level.values()]:
+                work += [entry[3] for entry in bucket]
+            work += [entry[3] for entry in self._wheel_overflow]
+            work += self._now_q
+            work += self._now_uq
+            if not work:
+                break
+            for queue in (self._heap, self._now_q, self._now_uq,
+                          self._wheel_overflow, *wheel):
+                queue.clear()
+            for item in work:
+                if not isinstance(item, SimEvent):
+                    item.fn = None
+                    continue
+                callbacks, item.callbacks = item.callbacks, []
+                for callback in callbacks:
+                    # A waiting process holds itself through its resume
+                    # callback: end it.
+                    waiter = getattr(callback, "__self__", None)
+                    if isinstance(waiter, Process):
+                        waiter.close()
+            work = item = callbacks = None
+        self._wheel_next = _INF
 
     def _dispatch(
         self, horizon: float, strict: bool, stop: list[bool] | None

@@ -92,6 +92,17 @@ class Process(SimEvent):
         poke.fail(Interrupt(cause), priority=0)
         poke.add_callback(self._resume_cb)
 
+    def close(self) -> None:
+        """End the process where it waits, without resuming it: detach
+        from its target, drop the resume callback and close the
+        generator, running its ``finally`` blocks.  It never triggers.
+        """
+        if self._target is not None:
+            self._target.remove_callback(self._resume_cb)
+            self._target = None
+        self._resume_cb = None
+        self._generator.close()
+
     def _resume(self, event: SimEvent) -> None:
         self._target = None
         send = self._send

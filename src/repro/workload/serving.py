@@ -177,6 +177,8 @@ class TrafficEngine:
         )
         self.groups = [self._make_group(i) for i in range(t.n_groups)]
         self.stats.per_group = {g.index: g.stats for g in self.groups}
+        #: the programs :meth:`start` spawned, ended by :meth:`close`
+        self._programs: list = []
 
     # -- group lifecycle ---------------------------------------------------
     def _make_group(self, index: int) -> _Group:
@@ -334,21 +336,24 @@ class TrafficEngine:
         """
         t = self.traffic
         cluster = self.cluster
+        programs = self._programs
         for group in self.groups:
             self._bind(group, t.sizes[0])
         for group in self.groups:
             if cluster.is_local(group.root):
-                cluster.spawn(
+                programs.append(cluster.spawn(
                     self._root_prog(group),
                     name=f"serving_root[{group.index}]",
-                )
+                ))
         for node_id in range(cluster.n_nodes):
             if cluster.is_local(node_id):
-                cluster.spawn(
+                programs.append(cluster.spawn(
                     self._member_prog(node_id), name=f"serving_rx[{node_id}]"
-                )
+                ))
         if t.churn_interval_us:
-            cluster.spawn(self._churn_prog(), name="serving_churn")
+            programs.append(
+                cluster.spawn(self._churn_prog(), name="serving_churn")
+            )
 
     def finalize(self) -> ServingStats:
         """Stamp the end-of-run stats (after the clock reached duration)."""
@@ -368,6 +373,15 @@ class TrafficEngine:
         self.start()
         self.cluster.run(until=self.traffic.duration_us)
         return self.finalize()
+
+    def close(self) -> None:
+        """End the programs :meth:`start` spawned (member loops wait
+        forever on their ports) and close the cluster unless injected."""
+        for program in self._programs:
+            program.close()
+        self._programs.clear()
+        if not self._pin_group_ids:
+            self.cluster.close()
 
 
 def run_serving(harness: "Harness") -> dict[int, ServingStats]:
@@ -394,7 +408,10 @@ def run_serving(harness: "Harness") -> dict[int, ServingStats]:
     ts = getattr(harness, "timeseries", None)
     if ts is not None:
         ts.install(engine.cluster.sim, harness.spec.traffic.duration_us)
-    stats = engine.run()
-    if ts is not None:
-        ts.finalize(engine.cluster.sim.now)
+    try:
+        stats = engine.run()
+        if ts is not None:
+            ts.finalize(engine.cluster.sim.now)
+    finally:
+        engine.close()
     return {0: stats}

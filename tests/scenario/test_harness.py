@@ -68,6 +68,19 @@ def test_registry_attaches_via_duck_typed_slot():
     assert Harness(unicast_point(size=0)).build_cluster() is not None
 
 
+def test_built_cluster_stays_the_callers_to_close():
+    cluster = Harness(unicast_point(size=0)).build_cluster()
+    port = cluster.port(0)
+
+    def send():
+        handle = yield from port.send(1, 0)
+        yield handle.done
+
+    cluster.run(until=cluster.spawn(send()))
+    cluster.run()  # still open: the harness closes only its own points
+    cluster.close()
+
+
 def test_config_loss_changes_the_measurement():
     """A declarative loss spec reaches the wire (drops force retransmits)."""
     clean = multicast_point(4, 4096, "nb", iterations=4, warmup=1)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import Simulator, SimEvent
+from repro.sim import Resource, Simulator, SimEvent
 
 
 def test_time_starts_at_zero():
@@ -226,6 +226,50 @@ def test_infinite_horizons_drain_and_return():
     result = json.loads(out.strip().splitlines()[-1])
     expected = {"fired": [5.0, 300.0], "drained": 300.0, "later": 301.0}
     assert result == {"run": expected, "run_window": expected}
+
+
+def test_closed_simulator_refuses_to_run():
+    sim = Simulator()
+    until = sim.timeout(5.0)
+    sim.close()
+    sim.close()  # closing twice is harmless
+    for run in (
+        sim.run,
+        lambda: sim.run(until=10.0),
+        lambda: sim.run(until=until),
+        lambda: sim.run_window(10.0),
+    ):
+        with pytest.raises(RuntimeError, match="closed simulator"):
+            run()
+    assert sim.now == 0.0
+
+
+def test_close_drops_queued_work_and_ends_waiting_processes():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def user(tag):
+        try:
+            yield from res.use(10.0)
+            log.append(f"{tag} done")
+        finally:
+            log.append(f"{tag} ended")
+
+    holder = sim.process(user("holder"))
+    waiter = sim.process(user("waiter"))
+    timer = sim.schedule_timer(500.0, lambda: log.append("timer"))
+    sim.call_at(20.0, lambda: log.append("callback"))
+    sim.run(until=1.0)
+    assert res.in_use == 1 and res.queue_length == 1
+    sim.close()
+    # Ending the holder released its unit (``Resource.use``'s finally),
+    # which granted the waiter; that wakeup was dropped in turn and the
+    # waiter ended too.  Nothing ran and nothing is left queued.
+    assert log == ["holder ended", "waiter ended"]
+    assert not holder.triggered and not waiter.triggered
+    assert timer.fn is None
+    assert "queued=0" in repr(sim)
 
 
 class TestConditions:

@@ -257,6 +257,48 @@ def test_interrupted_process_can_continue():
     assert sim.run(until=p) == 6.0
 
 
+def test_close_ends_a_waiting_process_without_triggering_it():
+    sim = Simulator()
+    gate = sim.event()
+    log = []
+
+    def waiting():
+        try:
+            yield gate
+            log.append("resumed")
+        finally:
+            log.append("finally")
+
+    def joiner(proc):
+        log.append((yield proc))
+
+    proc = sim.process(waiting())
+    sim.process(joiner(proc))
+    sim.run()
+    proc.close()
+    assert log == ["finally"]
+    assert gate.callbacks == []  # detached from its target
+    gate.succeed()
+    sim.run()
+    # Never resumed and never triggered: the joiner keeps waiting.
+    assert log == ["finally"] and not proc.triggered
+    proc.close()  # closing again does nothing
+    assert log == ["finally"]
+
+
+def test_close_finished_process_does_nothing():
+    sim = Simulator()
+
+    def quick():
+        yield sim.timeout(1.0)
+        return 7
+
+    proc = sim.process(quick())
+    sim.run()
+    proc.close()
+    assert proc.value == 7
+
+
 def test_nested_generators_with_yield_from():
     sim = Simulator()
 

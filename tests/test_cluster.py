@@ -45,6 +45,19 @@ class TestCluster:
         assert cluster.port(3).port_num == 0
         assert cluster.port(0).free_recv_tokens == 64
 
+    def test_closed_cluster_refuses_to_run(self):
+        with Cluster(ClusterConfig(n_nodes=4)) as cluster:
+            port = cluster.port(0)
+
+            def send():
+                handle = yield from port.send(1, 64)
+                yield handle.done
+
+            cluster.run(until=cluster.spawn(send()))
+        with pytest.raises(RuntimeError, match="closed simulator"):
+            cluster.run()
+        cluster.close()  # closing twice is harmless
+
     def test_single_topology_selected(self):
         cluster = Cluster(ClusterConfig(n_nodes=4, topology="single"))
         assert cluster.topology.switch_count() == 1

@@ -1,24 +1,38 @@
-"""Nothing per operation is left for the cyclic garbage collector.
+"""Nothing is left for the cyclic garbage collector.
 
 A finished process, a granted resource request and a finished packet
-walk must be freed by reference counting as soon as they are dropped.
-Each test switches the collector off, runs the simulator, and then
-collects once: with ``gc.DEBUG_SAVEALL`` everything only the collector
-could free lands in ``gc.garbage``.  The simulator object is kept
-alive across that collection, so the cluster-level state it reaches
-(its own reference cycles) is not reported.
+walk must be freed by reference counting as soon as they are dropped,
+and so must a closed cluster (:meth:`repro.cluster.Cluster.close`),
+whatever work it still had queued.  Each test switches the collector
+off, runs the simulator, and then collects once: with
+``gc.DEBUG_SAVEALL`` everything only the collector could free lands in
+``gc.garbage``.  :func:`cycles_by_type` names the reference cycles in
+what is left, so a failure says which edge leaks, not only how much.
 """
 
 import gc
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import repro.workload  # noqa: F401  (registers the serving runner)
+from repro.cluster import Cluster
+from repro.config import ClusterConfig
+from repro.mcast.schemes import BoundScheme, available_schemes, get_scheme
 from repro.net import Network, Packet, PacketHeader, PacketType, single_switch
-from repro.net.fabric import _Traversal
-from repro.scenario import ScenarioSpec
+from repro.net.failure import FailureEvent, FailureSpec
+from repro.scenario import Harness, ScenarioSpec
 from repro.scenario.harness import run_spec
+from repro.scenario.spec import (
+    broadcast_point,
+    mpi_bcast_point,
+    multicast_point,
+    multisend_point,
+    skew_point,
+    unicast_point,
+)
 from repro.sim import Resource, Simulator
-from repro.sim.process import Process
-from repro.sim.resources import Request
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
@@ -26,8 +40,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 def left_for_collector(run):
     """Call *run* with the collector off; the objects only it can free.
 
-    *run* returns what must stay alive during the collection (normally
-    the simulator); the saved garbage is returned as a list.
+    Whatever *run* returns stays alive during the collection; the saved
+    garbage is returned as a list.
     """
     gc.collect()
     flags = gc.get_debug()
@@ -45,8 +59,81 @@ def left_for_collector(run):
         gc.enable()
 
 
-def of_type(garbage, cls):
-    return [obj for obj in garbage if isinstance(obj, cls)]
+def cycles_by_type(garbage):
+    """The reference cycles in *garbage*, counted by type signature.
+
+    Groups the objects into the strongly connected components of their
+    references to each other (Tarjan's algorithm, without recursion).
+    A component of several objects, or of one that refers to itself,
+    is a cycle.  Returns lines such as ``32 × {GroupState,
+    RetransmitTimer, function, tuple}``, most frequent first.
+    """
+    by_id = {id(obj): obj for obj in garbage}
+    edges = {
+        key: [id(ref) for ref in gc.get_referents(obj) if id(ref) in by_id]
+        for key, obj in by_id.items()
+    }
+    index, low, stack, on_stack = {}, {}, [], set()
+    signatures = Counter()
+    for root in edges:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, nxt = work.pop()
+            if nxt == 0:
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+            for k in range(nxt, len(edges[node])):
+                succ = edges[node][k]
+                if succ not in index:
+                    work += [(node, k + 1), (succ, 0)]
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    if len(component) > 1 or node in edges[node]:
+                        names = sorted(
+                            {type(by_id[m]).__name__ for m in component}
+                        )
+                        signatures["{" + ", ".join(names) + "}"] += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    ranked = sorted(signatures.items(), key=lambda item: (-item[1], item[0]))
+    return [f"{count} × {names}" for names, count in ranked]
+
+
+def describe(garbage):
+    """*garbage*'s size and its cycles, for an assertion message."""
+    return "\n".join(
+        [f"{len(garbage)} objects left for the collector:"]
+        + cycles_by_type(garbage)
+    )
+
+
+def test_cycles_by_type_names_each_cycle():
+    class Knot:
+        __slots__ = ("other",)
+
+    def run():
+        for _ in range(2):
+            a, b = Knot(), Knot()
+            a.other, b.other = b, a
+        alone = Knot()
+        alone.other = alone
+        tied = Knot()
+        tied.other = [tied, ("not", "in", "a", "cycle")]
+
+    garbage = left_for_collector(run)
+    assert cycles_by_type(garbage) == ["3 × {Knot}", "1 × {Knot, list}"]
+    assert describe(garbage).startswith(f"{len(garbage)} objects left")
 
 
 def test_finished_processes_leave_no_cycle():
@@ -74,9 +161,10 @@ def test_finished_processes_leave_no_cycle():
         del workers
         sim.run()
         assert log == [0, 1, 2, 3, 4, 0]
-        return sim
+        sim.close()
 
-    assert of_type(left_for_collector(run), Process) == []
+    garbage = left_for_collector(run)
+    assert garbage == [], describe(garbage)
 
 
 def test_granted_requests_leave_no_cycle():
@@ -102,9 +190,10 @@ def test_granted_requests_leave_no_cycle():
             sim.process(claimer(10 + tag))
         sim.run()
         assert sorted(order) == [0, 1, 2, 10, 11, 12]
-        return sim
+        sim.close()
 
-    assert of_type(left_for_collector(run), Request) == []
+    garbage = left_for_collector(run)
+    assert garbage == [], describe(garbage)
 
 
 def test_packet_walks_leave_no_cycle():
@@ -130,20 +219,108 @@ def test_packet_walks_leave_no_cycle():
                 )
         sim.run()
         assert len(got) == 12 and len(injected) == 12
-        return sim
+        sim.close()
 
     garbage = left_for_collector(run)
-    assert of_type(garbage, _Traversal) == []
-    assert of_type(garbage, Packet) == []
-    assert of_type(garbage, Request) == []
+    assert garbage == [], describe(garbage)
+
+
+def _outages(n_nodes):
+    """Two healed NIC-cable outages of interior binomial-tree nodes."""
+    with Cluster(ClusterConfig(n_nodes=n_nodes)) as cluster:
+        cables = [
+            cluster.topology.nic_cable_index(victim)
+            for victim in (n_nodes // 2, n_nodes // 4)
+        ]
+    events = []
+    for k, cable in enumerate(cables):
+        events.append(FailureEvent(15.0 + 40.0 * k, "link_down", cable))
+        events.append(FailureEvent(685.0 + 40.0 * k, "link_up", cable))
+    events.sort(key=lambda e: (e.time_us, e.action, e.target))
+    return FailureSpec(kind="scheduled", events=tuple(events))
+
+
+#: Schemes that can post a one-shot broadcast (not only ``run_once``).
+BROADCAST_SCHEMES = [
+    key for key in available_schemes()
+    if get_scheme(key).cls.post is not BoundScheme.post
+]
+
+POINTS = {
+    "unicast": lambda: unicast_point(size=4096, iterations=3),
+    **{
+        f"multisend[{scheme}]": (
+            lambda scheme=scheme: multisend_point(
+                4, 4096, scheme, iterations=3, warmup=1
+            )
+        )
+        for scheme in ("nic_multisend", "host_based")
+    },
+    **{
+        f"multicast[{scheme}]": (
+            lambda scheme=scheme: multicast_point(
+                8, 4096, scheme, iterations=3, warmup=1
+            )
+        )
+        for scheme in ("nic_based", "host_based", "nic_assisted")
+    },
+    **{
+        f"broadcast[{scheme}]": (
+            lambda scheme=scheme: broadcast_point(
+                16, 8192, scheme, tree_shape="binomial"
+            )
+        )
+        for scheme in BROADCAST_SCHEMES
+    },
+    # On a two-level Clos, so switches are cabled to each other.
+    **{
+        f"broadcast[{scheme},outages]": (
+            lambda scheme=scheme: broadcast_point(
+                32, 16384, scheme, tree_shape="binomial",
+                failures=_outages(32),
+            )
+        )
+        for scheme in ("backup_tree", "tree_repair")
+    },
+    **{
+        f"mpi_bcast[{kind}]": (
+            lambda nic=nic: mpi_bcast_point(16, 8192, nic, 3, 1)
+        )
+        for kind, nic in (("nic", True), ("host", False))
+    },
+    **{
+        f"mpi_skew[{kind}]": (
+            lambda nic=nic: skew_point(16, nic, 3200.0, 4, 3, warmup=1)
+        )
+        for kind, nic in (("nic", True), ("host", False))
+    },
+}
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_closed_clusters_leave_nothing(point):
+    # The harness closes each point's cluster once its value is taken.
+    # MPI points stop with retransmission timers still queued, the
+    # outage points with recovery control planes subscribed.
+    spec = POINTS[point]()
+    garbage = left_for_collector(lambda: Harness(spec).run())
+    assert garbage == [], describe(garbage)
+
+
+def test_closed_serving_cluster_leaves_nothing():
+    # Serving stops at its duration with packets, timers and programs
+    # still in flight, and member loops waiting on their ports.
+    spec = ScenarioSpec.from_json(
+        (SCENARIOS / "serving_churn.json").read_text()
+    )
+    garbage = left_for_collector(lambda: Harness(spec).run())
+    assert garbage == [], describe(garbage)
 
 
 def test_scenario_garbage_does_not_grow_with_messages():
-    # Unreachable objects after one run, at two run lengths.  The
-    # finished cluster is itself a cycle, so some garbage is expected;
-    # what must not happen is garbage per delivered message (a cycle in
-    # each finished process, packet walk and granted request left about
-    # 27 objects per message here).
+    # Unreachable objects after one run, at two run lengths: no garbage
+    # per delivered message (a cycle in each finished process, packet
+    # walk and granted request left about 27 objects per message here).
     base = ScenarioSpec.from_json(
         (SCENARIOS / "nic_multicast_lossy.json").read_text()
     )
