@@ -8,7 +8,7 @@ from repro.experiments.report import FigureResult, Series, render_table
 
 __all__ = ["FigureResult", "Series", "render_table"]
 
-#: figure id -> module path, for the CLI and benchmarks
+#: figure id -> module path, for the CLI and the tests
 FIGURES = {
     "fig1": "repro.experiments.fig1",
     "fig2": "repro.experiments.fig2",

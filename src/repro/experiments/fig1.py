@@ -28,12 +28,12 @@ __all__ = ["run"]
 
 
 def _probe_protection() -> bool:
-    cluster = Cluster(ClusterConfig(n_nodes=2))
-    try:
-        next(cluster.port(0).send(1, 8, caller=object()))
-    except ProtectionError:
-        return True
-    return False
+    with Cluster(ClusterConfig(n_nodes=2)) as cluster:
+        try:
+            next(cluster.port(0).send(1, 8, caller=object()))
+        except ProtectionError:
+            return True
+        return False
 
 
 def _probe_lfc_deadlock() -> bool:
@@ -44,6 +44,8 @@ def _probe_lfc_deadlock() -> bool:
         run_lfc_multicasts(sim, 4, [t1, t2], n_buffers=1)
     except DeadlockDetected:
         return True
+    finally:
+        sim.close()
     return False
 
 
@@ -57,6 +59,8 @@ def _probe_id_ordering_immunity() -> bool:
         run_lfc_multicasts(sim, 5, trees, n_buffers=2)
     except DeadlockDetected:
         return False
+    finally:
+        sim.close()
     return True
 
 
@@ -65,29 +69,33 @@ def _probe_fmmc_bottleneck() -> tuple[float, float]:
 
     def one(n_senders: int) -> float:
         n = 8
-        cluster = Cluster(ClusterConfig(n_nodes=n))
-        manager = FMMCCreditManager(
-            cluster, node_id=0, total_credits=4, credits_per_grant=4
-        )
-        rounds = 3
-        procs = []
-        for idx, sender in enumerate(range(1, 1 + n_senders)):
-            gid = 900 + idx
-            dests = [d for d in range(1, n) if d != sender]
-            install_group(cluster, gid, build_tree(sender, dests, shape="flat"))
-            log: list[float] = []
-            procs.append(
-                cluster.spawn(
-                    fmmc_sender_program(manager, sender, gid, 64, rounds, log)
-                )
+        with Cluster(ClusterConfig(n_nodes=n)) as cluster:
+            manager = FMMCCreditManager(
+                cluster, node_id=0, total_credits=4, credits_per_grant=4
             )
-            for d in dests:
-                procs.append(
-                    cluster.spawn(fmmc_consumer_program(cluster, d, rounds))
+            rounds = 3
+            procs = []
+            for idx, sender in enumerate(range(1, 1 + n_senders)):
+                gid = 900 + idx
+                dests = [d for d in range(1, n) if d != sender]
+                install_group(
+                    cluster, gid, build_tree(sender, dests, shape="flat")
                 )
-        procs.append(cluster.spawn(manager.program(n_senders * rounds)))
-        cluster.run(until=cluster.sim.all_of(procs))
-        return cluster.now
+                log: list[float] = []
+                procs.append(
+                    cluster.spawn(
+                        fmmc_sender_program(
+                            manager, sender, gid, 64, rounds, log
+                        )
+                    )
+                )
+                for d in dests:
+                    procs.append(
+                        cluster.spawn(fmmc_consumer_program(cluster, d, rounds))
+                    )
+            procs.append(cluster.spawn(manager.program(n_senders * rounds)))
+            cluster.run(until=cluster.sim.all_of(procs))
+            return cluster.now
 
     return one(1), one(4)
 

@@ -24,71 +24,72 @@ def _transmit_starts(scheme: str, size: int, n_dest: int,
                      cost: GMCostModel) -> list[float]:
     """tx_start times at the source NIC for one send to n_dest nodes."""
     n = n_dest + 1
-    cluster = Cluster(ClusterConfig(n_nodes=n, cost=cost, trace=True))
-    tree = build_tree(0, range(1, n), shape="flat")
+    with Cluster(ClusterConfig(n_nodes=n, cost=cost, trace=True)) as cluster:
+        tree = build_tree(0, range(1, n), shape="flat")
 
-    if scheme == "nb":
+        if scheme == "nb":
+            gid = next_group_id()
+            install_group(cluster, gid, tree)
+
+            def root():
+                handle = yield from cluster.node(0).mcast.multicast_send(
+                    cluster.port(0), gid, size
+                )
+                yield handle.done
+        else:
+
+            def root():
+                port = cluster.port(0)
+                handles = []
+                for dest in range(1, n):
+                    handle = yield from port.send(dest, size)
+                    handles.append(handle.done)
+                yield cluster.sim.all_of(handles)
+
+        def rx(i):
+            port = cluster.port(i)
+            yield from port.receive()
+
+        procs = [cluster.spawn(root())]
+        procs += [cluster.spawn(rx(i)) for i in range(1, n)]
+        cluster.run(until=cluster.sim.all_of(procs))
+        return [
+            rec.time
+            for rec in cluster.sim.trace.filter(
+                component="nic[0]", category="tx_start"
+            )
+            if rec.get("ptype") in ("data", "mcast_data")
+        ]
+
+
+def _forwarding_timeline(size: int, cost: GMCostModel) -> dict[str, float]:
+    """Chain 0->1->2: when does NIC 1 receive, forward, and deliver?"""
+    with Cluster(ClusterConfig(n_nodes=3, cost=cost, trace=True)) as cluster:
+        tree = build_tree(0, [1, 2], shape="chain")
         gid = next_group_id()
         install_group(cluster, gid, tree)
+        delivered = {}
 
         def root():
             handle = yield from cluster.node(0).mcast.multicast_send(
                 cluster.port(0), gid, size
             )
             yield handle.done
-    else:
 
-        def root():
-            port = cluster.port(0)
-            handles = []
-            for dest in range(1, n):
-                handle = yield from port.send(dest, size)
-                handles.append(handle.done)
-            yield cluster.sim.all_of(handles)
+        def rx(i):
+            port = cluster.port(i)
+            yield from port.receive()
+            delivered[i] = cluster.now
 
-    def rx(i):
-        port = cluster.port(i)
-        yield from port.receive()
-
-    procs = [cluster.spawn(root())] + [cluster.spawn(rx(i)) for i in range(1, n)]
-    cluster.run(until=cluster.sim.all_of(procs))
-    starts = [
-        rec.time
-        for rec in cluster.sim.trace.filter(
-            component="nic[0]", category="tx_start"
+        procs = [cluster.spawn(root())]
+        procs += [cluster.spawn(rx(i)) for i in (1, 2)]
+        cluster.run(until=cluster.sim.all_of(procs))
+        trace = cluster.sim.trace
+        recv_at_1 = trace.filter(
+            component="network", category="pkt_deliver",
+            predicate=lambda r: r["dst"] == 1 and r["ptype"] == "mcast_data",
         )
-        if rec.get("ptype") in ("data", "mcast_data")
-    ]
-    return starts
-
-
-def _forwarding_timeline(size: int, cost: GMCostModel) -> dict[str, float]:
-    """Chain 0->1->2: when does NIC 1 receive, forward, and deliver?"""
-    cluster = Cluster(ClusterConfig(n_nodes=3, cost=cost, trace=True))
-    tree = build_tree(0, [1, 2], shape="chain")
-    gid = next_group_id()
-    install_group(cluster, gid, tree)
-    delivered = {}
-
-    def root():
-        handle = yield from cluster.node(0).mcast.multicast_send(
-            cluster.port(0), gid, size
-        )
-        yield handle.done
-
-    def rx(i):
-        port = cluster.port(i)
-        yield from port.receive()
-        delivered[i] = cluster.now
-
-    procs = [cluster.spawn(root())] + [cluster.spawn(rx(i)) for i in (1, 2)]
-    cluster.run(until=cluster.sim.all_of(procs))
-    trace = cluster.sim.trace
-    recv_at_1 = trace.filter(
-        component="network", category="pkt_deliver",
-        predicate=lambda r: r["dst"] == 1 and r["ptype"] == "mcast_data",
-    )
-    fwd_at_1 = trace.filter(component="nic[1]", category="forward")
+        fwd_at_1 = trace.filter(component="nic[1]", category="forward")
     return {
         "first_pkt_at_nic1": recv_at_1[0].time,
         "first_forward_queued": fwd_at_1[0].time,

@@ -5,7 +5,7 @@ Each ``measure_*`` builds the corresponding declarative
 :class:`~repro.scenario.harness.Harness` — the program templates,
 round tracking, and the paper's timing methodology all live there (see
 that module's docstring).  The wrappers keep the historical call
-signatures the tests and benchmarks use; their results are
+signatures the tests use; their results are
 byte-identical to the pre-scenario imperative harness (locked by
 ``tests/experiments/test_golden_regression.py``).
 """

@@ -29,6 +29,7 @@ from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
+    from repro.sim.process import Process
     from repro.trees.base import SpanningTree
 
 __all__ = ["LFCNode", "LFCFabric", "run_lfc_multicasts"]
@@ -44,7 +45,6 @@ class LFCNode:
     """One NIC with a shared receive-buffer pool."""
 
     def __init__(self, fabric: "LFCFabric", node_id: int, n_buffers: int):
-        self.fabric = fabric
         self.sim = fabric.sim
         self.id = node_id
         #: free buffer slots; a sender takes one (a "credit") per packet
@@ -66,6 +66,19 @@ class LFCFabric:
         self.sim = sim
         self.hop_time = hop_time
         self.nodes = [LFCNode(self, i, n_buffers) for i in range(n_nodes)]
+        self._procs: list["Process"] = []
+
+    def _spawn(self, gen: Generator, name: str) -> "Process":
+        proc = self.sim.process(gen, name=name)
+        self._procs.append(proc)
+        return proc
+
+    def close(self) -> None:
+        """End the processes still waiting on a pool (a deadlock's
+        waiters), which would otherwise hold themselves in cycles."""
+        for proc in self._procs:
+            if proc.is_alive:
+                proc.close()
 
     def multicast(self, mcast_id: int, tree: "SpanningTree") -> Generator:
         """Root-side injection process for one multicast.
@@ -85,9 +98,9 @@ class LFCFabric:
             slot = yield self.nodes[child].pool.get()
             node.waiting.pop(mcast_id, None)
             yield self.sim.timeout(self.hop_time)
-            self.sim.process(
+            self._spawn(
                 self._receive(mcast_id, tree, child, slot),
-                name=f"lfc_rx[{child}]#{mcast_id}",
+                f"lfc_rx[{child}]#{mcast_id}",
             )
 
     def _receive(
@@ -146,11 +159,12 @@ def run_lfc_multicasts(
 
     Returns the fabric for inspection.  Raises
     :class:`DeadlockDetected` if the simulation quiesces with multicasts
-    incomplete — the scenario the paper's scheme is immune to.
+    incomplete — the scenario the paper's scheme is immune to — after
+    ending the processes left waiting.
     """
     fabric = LFCFabric(sim, n_nodes, n_buffers=n_buffers)
     procs = [
-        sim.process(fabric.multicast(i, tree), name=f"lfc_mcast#{i}")
+        fabric._spawn(fabric.multicast(i, tree), f"lfc_mcast#{i}")
         for i, tree in enumerate(trees)
     ]
     sim.run(until=horizon)
@@ -158,10 +172,11 @@ def run_lfc_multicasts(
     blocked = {n.id: dict(n.waiting) for n in fabric.nodes if n.waiting}
     if stuck or blocked:
         if fabric.has_cyclic_wait():
-            raise DeadlockDetected(
-                f"LFC credit deadlock: circular wait {fabric.wait_graph()}"
+            message = f"LFC credit deadlock: circular wait {fabric.wait_graph()}"
+        else:
+            message = (
+                f"LFC multicasts stalled without completing (blocked: {blocked})"
             )
-        raise DeadlockDetected(
-            f"LFC multicasts stalled without completing (blocked: {blocked})"
-        )
+        fabric.close()
+        raise DeadlockDetected(message)
     return fabric

@@ -206,43 +206,44 @@ def run_observed(
     and the process-global default stays untouched.  ``flight=True``
     additionally attaches a full-sampling
     :class:`~repro.obs.flight.FlightRecorder` (``run.flight``), whose
-    gauge samples feed the Chrome trace's counter tracks.
+    gauge samples feed the Chrome trace's counter tracks.  The run's
+    cluster is closed before this returns.
     """
     spec = get_scheme(scheme)
     cost = GMCostModel()
-    cluster = Cluster(
+    with Cluster(
         ClusterConfig(n_nodes=nodes, cost=cost, seed=seed, trace=trace),
         loss=loss,
-    )
-    registry = registry if registry is not None else MetricsRegistry()
-    cluster.sim.metrics = registry
-    recorder = None
-    if flight:
-        from repro.obs.flight import FlightRecorder
+    ) as cluster:
+        registry = registry if registry is not None else MetricsRegistry()
+        cluster.sim.metrics = registry
+        recorder = None
+        if flight:
+            from repro.obs.flight import FlightRecorder
 
-        recorder = FlightRecorder(sample=1.0)
-        cluster.sim.flight = recorder
+            recorder = FlightRecorder(sample=1.0)
+            cluster.sim.flight = recorder
 
-    dests = list(range(1, nodes))
-    if spec.tree_uses_cost:
-        tree = build_tree(0, dests, shape=spec.default_tree,
-                          cost=cost, size=size)
-    else:
-        tree = build_tree(0, dests, shape=spec.default_tree)
-    bound = spec.cls(spec, cluster, tree)
-    result = bound.run_once(size)
+        dests = list(range(1, nodes))
+        if spec.tree_uses_cost:
+            tree = build_tree(0, dests, shape=spec.default_tree,
+                              cost=cost, size=size)
+        else:
+            tree = build_tree(0, dests, shape=spec.default_tree)
+        bound = spec.cls(spec, cluster, tree)
+        result = bound.run_once(size)
 
-    return ObservedRun(
-        scheme=scheme,
-        nodes=nodes,
-        size=size,
-        seed=seed,
-        registry=registry,
-        delivered=dict(result.get("delivered", {})),
-        sim_time_us=cluster.now,
-        tracer=cluster.sim.trace,
-        flight=recorder,
-    )
+        return ObservedRun(
+            scheme=scheme,
+            nodes=nodes,
+            size=size,
+            seed=seed,
+            registry=registry,
+            delivered=dict(result.get("delivered", {})),
+            sim_time_us=cluster.now,
+            tracer=cluster.sim.trace,
+            flight=recorder,
+        )
 
 
 def _drop_counters(registry: MetricsRegistry) -> dict[str, int]:

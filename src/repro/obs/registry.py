@@ -239,44 +239,6 @@ class MetricsRegistry:
         if value > inst.max_seen:
             inst.max_seen = value
 
-    # -- aggregation -------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s instruments into this registry, in place.
-
-        The partitioned-kernel path: each worker process observes its
-        shard into a private registry, and the conductor merges them
-        into the run's registry afterwards.  Counters and histograms
-        merge losslessly (sums of counts preserve means and bucket
-        shapes).  Gauges are point-in-time values with no exact merge —
-        the maximum is kept, which is right for the high-water-style
-        gauges the engines set; run-level rate gauges should be
-        re-stamped by the caller after merging.
-        """
-        for name, inst in other._metrics.items():
-            if type(inst) is Counter:
-                self.counter(name).value += inst.value
-            elif type(inst) is Gauge:
-                gauge = self.gauge(name)
-                if inst.value > gauge.value:
-                    gauge.value = inst.value
-                if inst.max_value > gauge.max_value:
-                    gauge.max_value = inst.max_value
-            else:
-                hist = self._get(name, Histogram, inst.bounds)
-                if hist.bounds != inst.bounds:
-                    raise MetricsError(
-                        f"histogram {name!r} bucket layouts differ; "
-                        "cannot merge"
-                    )
-                for i, n in enumerate(inst.counts):
-                    hist.counts[i] += n
-                hist.count += inst.count
-                hist.total += inst.total
-                if inst.min_seen < hist.min_seen:
-                    hist.min_seen = inst.min_seen
-                if inst.max_seen > hist.max_seen:
-                    hist.max_seen = inst.max_seen
-
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
         return len(self._metrics)

@@ -1,8 +1,9 @@
-"""Performance measurement: kernel counters and the benchmark harness.
+"""Kernel work counters.
 
-``python -m repro.perf`` runs :mod:`repro.perf.bench_kernel` and writes
-``BENCH_kernel.json``.  Only the counters are imported eagerly — the
-benchmark pulls in the experiment stack and stays behind ``__main__``.
+The simulator increments :data:`KERNEL_COUNTERS` on its hot path; the
+external benchmark (``python -m bench``), the figure CLI's
+``--metrics`` sidecars and the tests read them.  This package imports
+nothing else from :mod:`repro`.
 """
 
 from repro.perf.counters import KERNEL_COUNTERS, KernelCounters

@@ -5,8 +5,7 @@ Glue between the declarative layer and the conservative-parallel kernel
 scenario's cluster config, construct one shard-local
 :class:`~repro.cluster.Cluster` per shard, spawn each measurement
 program on the shard owning its node, and drive everything through the
-safe-window conductor — in-process, or one OS process per shard when
-the spec says ``processes: true``.
+safe-window conductor.
 
 The measurement programs here are line-for-line the serial harness
 templates (:class:`repro.scenario.harness.Harness`): partitioned points
@@ -26,11 +25,7 @@ from repro.mcast.schemes import create_scheme, get_scheme, resolve_scheme
 from repro.scenario.harness import BroadcastResult
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.engine import Simulator
-from repro.sim.parallel import (
-    PartitionPlan,
-    ShardSet,
-    run_sharded_processes,
-)
+from repro.sim.parallel import PartitionPlan, ShardSet, merge_flight_events
 from repro.trees import build_tree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,8 +81,8 @@ def build_shard(
 class _PointShard:
     """One shard of a unicast/multisend measurement point.
 
-    Doubles as the process-mode shard object: ``sim``/``network`` feed
-    the conductor, ``result()`` returns the picklable per-shard lists.
+    ``sim``/``network`` feed the conductor; ``result()`` returns the
+    per-shard lists the point's value merges from.
     """
 
     def __init__(
@@ -238,12 +233,6 @@ class _PointShard:
         }
 
 
-def _point_factory(shard_id: int, spec_json: str, size: int) -> _PointShard:
-    """Process-mode shard builder (module-level: must pickle)."""
-    spec = ScenarioSpec.from_json(spec_json)
-    return _PointShard(spec, make_plan(spec), shard_id, size)
-
-
 def _merge_point(kind: str, results: list[dict[str, Any]]) -> Any:
     """The point's serial-identical value from the per-shard lists."""
     if kind == "unicast":
@@ -277,14 +266,6 @@ def run_point_partitioned(harness: "Harness", size: int) -> Any:
     spec = harness.spec
     plan = make_plan(spec)
     kind = spec.workload.kind
-    if spec.partition.processes:
-        # Process mode runs flight-detached: per-worker recorders would
-        # need their events piped back; in-process mode is the traced
-        # reference (identical schedules, so nothing is lost).
-        results = run_sharded_processes(
-            _point_factory, (spec.to_json(), size), plan
-        )
-        return _merge_point(kind, results)
     flight = getattr(harness, "flight", None)
     shards = [
         _PointShard(
@@ -299,7 +280,5 @@ def run_point_partitioned(harness: "Harness", size: int) -> Any:
         [s.network for s in shards],
     ).run()
     if flight is not None:
-        from repro.sim.parallel import merge_flight_events
-
         flight.absorb(merge_flight_events([s.sim for s in shards]))
     return _merge_point(kind, [s.result() for s in shards])

@@ -487,17 +487,13 @@ class PartitionSpec:
     ``partitioner`` assigns nodes to shards (``"contiguous"`` id ranges
     or ``"switch_affine"``, which keeps each leaf switch's NICs
     together — fewer cut links, so less handoff traffic); ``seed``
-    deterministically varies the switch-affine placement order.
-    ``processes`` picks one-OS-process-per-shard execution over the
-    in-process conductor (identical results; the in-process form is the
-    determinism reference and the cheaper choice for small shard
-    counts).
+    deterministically varies the switch-affine placement order.  The
+    shards run in one process, one safe window after another.
     """
 
     shards: int = 2
     partitioner: str = "switch_affine"
     seed: int = 0
-    processes: bool = False
 
     def __post_init__(self) -> None:
         from repro.sim.parallel import PARTITIONERS
@@ -519,8 +515,6 @@ class PartitionSpec:
         }
         if self.seed:
             out["seed"] = self.seed
-        if self.processes:
-            out["processes"] = self.processes
         return out
 
     @classmethod

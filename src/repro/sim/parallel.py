@@ -55,7 +55,7 @@ partitioned and serial outputs.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import ConfigError
 
@@ -71,7 +71,6 @@ __all__ = [
     "ShardSet",
     "merge_flight_events",
     "merge_traces",
-    "run_sharded_processes",
 ]
 
 _NIC = "nic"
@@ -134,8 +133,7 @@ class PartitionPlan:
 
     Build one with :meth:`from_topology`; the same ``(topology shape,
     n_shards, partitioner, seed)`` always yields the same plan, so every
-    shard (including pool workers in another process) derives identical
-    ownership from its own topology replica.
+    shard derives identical ownership from its own topology replica.
     """
 
     def __init__(
@@ -322,11 +320,9 @@ class PartitionPlan:
 class ShardSet:
     """Drives N shard simulators through conservative safe windows.
 
-    The in-process conductor: shards run their windows sequentially in
-    shard order (the determinism reference — pool workers reproduce it
-    bit-for-bit because windows are causally independent).  Use
-    :func:`run_sharded_processes` to run the same schedule with one OS
-    process per shard.
+    Shards run their windows one after another in shard order, in one
+    process.  Windows are causally independent, so that order cannot
+    change what any shard computes.
     """
 
     def __init__(
@@ -438,134 +434,3 @@ def merge_flight_events(sims: Iterable["Simulator"]) -> list[Any]:
         )
     merged.sort(key=lambda item: (item[0], item[1], item[2]))
     return [item[3] for item in merged]
-
-
-# ---------------------------------------------------------------------------
-# Process-per-shard execution.
-# ---------------------------------------------------------------------------
-
-def _shard_worker(conn, factory, args, shard_id: int) -> None:
-    """One OS process driving one shard (see :func:`run_sharded_processes`).
-
-    Protocol (parent → worker / worker → parent):
-
-    * ``("window", horizon, msgs)`` → runs the safe window after
-      scheduling the inbound messages; replies ``("ok", next_time,
-      outbox)``;
-    * ``("finish", until)`` → final clock advance; replies
-      ``("result", shard.result())`` and exits.
-    """
-    shard = factory(shard_id, *args)
-    sim = shard.sim
-    net = shard.network
-    outbox: list[tuple] = []
-
-    def post(dest: int, when: float, packet: Any, hop: int) -> None:
-        outbox.append((dest, when, packet, hop))
-
-    net.bind_partition(shard_id, post)
-    conn.send(("ready", sim.peek()))
-    while True:
-        cmd = conn.recv()
-        op = cmd[0]
-        if op == "window":
-            _, horizon, msgs = cmd
-            for when, packet, hop in msgs:
-                net.accept_handoff(when, packet, hop)
-            sim.run_window(horizon)
-            out, outbox = outbox, []
-            conn.send(("ok", sim.peek(), out))
-        elif op == "finish":
-            until = cmd[1]
-            if until is not None:
-                sim.run(until=until)
-            conn.send(("result", shard.result()))
-            conn.close()
-            return
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown shard command {op!r}")
-
-
-def run_sharded_processes(
-    factory: Callable[..., Any],
-    args: tuple,
-    plan: PartitionPlan,
-    until: float | None = None,
-) -> list[Any]:
-    """Run one worker process per shard; return each shard's result.
-
-    ``factory(shard_id, *args)`` must be picklable (module-level) and
-    return an object with ``sim`` (the shard's Simulator), ``network``
-    (its partition-aware Network, not yet bound), and ``result()`` (a
-    picklable summary returned after the final clock advance).  The
-    parent process runs the same conductor loop as :class:`ShardSet`,
-    shipping safe-window grants out and timestamped handoffs back over
-    pipes; all shards execute their windows concurrently.
-    """
-    import multiprocessing as mp
-
-    ctx = mp.get_context()
-    conns = []
-    procs = []
-    try:
-        for shard_id in range(plan.n_shards):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, factory, args, shard_id),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            procs.append(proc)
-        nexts = []
-        for conn in conns:
-            tag, next_time = conn.recv()
-            if tag != "ready":  # pragma: no cover - defensive
-                raise RuntimeError(f"shard handshake failed: {tag!r}")
-            nexts.append(next_time)
-        pending: list[list[tuple]] = [[] for _ in range(plan.n_shards)]
-        stop = (
-            math.inf if until is None
-            else math.nextafter(until, math.inf)
-        )
-        lookahead = plan.lookahead
-        while True:
-            t = min(nexts)
-            for msgs in pending:
-                for when, _pkt, _hop in msgs:
-                    if when < t:
-                        t = when
-            if t == _INF or t >= stop:
-                break
-            horizon = t + lookahead
-            if horizon > stop:
-                horizon = stop
-            for shard_id, conn in enumerate(conns):
-                msgs = pending[shard_id]
-                msgs.sort(key=lambda m: m[0])
-                conn.send(("window", horizon, msgs))
-                pending[shard_id] = []
-            for shard_id, conn in enumerate(conns):
-                _tag, next_time, out = conn.recv()
-                nexts[shard_id] = next_time
-                for dest, when, packet, hop in out:
-                    pending[dest].append((when, packet, hop))
-        for conn in conns:
-            conn.send(("finish", until))
-        results = []
-        for conn in conns:
-            tag, payload = conn.recv()
-            if tag != "result":  # pragma: no cover - defensive
-                raise RuntimeError(f"shard finish failed: {tag!r}")
-            results.append(payload)
-        return results
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-    return results  # pragma: no cover - unreachable

@@ -102,6 +102,12 @@ class Process(SimEvent):
             self._target = None
         self._resume_cb = None
         self._generator.close()
+        # On Python 3.12 a generator closed before it started still holds
+        # its arguments, often the owner that holds this process: keep a
+        # finished generator instead, which answers alike.
+        self._generator = _FINISHED
+        self._send = _FINISHED.send
+        self._throw = _FINISHED.throw
 
     def _resume(self, event: SimEvent) -> None:
         self._target = None
@@ -168,3 +174,11 @@ def _failed(sim: "Simulator", exc: BaseException) -> SimEvent:
     ev._ok = False
     ev.name = None
     return ev
+
+
+def _finished() -> Generator[SimEvent, Any, None]:
+    yield from ()
+
+
+_FINISHED = _finished()
+next(_FINISHED, None)

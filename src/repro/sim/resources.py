@@ -130,8 +130,10 @@ class Resource:
         is busy or has queued waiters.
         """
         req = self.request(priority)
-        yield req
         try:
+            # Inside the try: a waiter closed before its grant must
+            # take its claim out of the queue.
+            yield req
             yield self.sim.timeout(duration)
             self.busy_time += duration
             self.use_count += 1

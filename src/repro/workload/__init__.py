@@ -12,7 +12,7 @@ layer (it may import ``repro.sim``/``repro.net``/``repro.mcast``/
 ``repro.obs``).  The scenario harness cannot import *us*, so importing
 this package registers the serving runner with the harness's workload
 registry — entry points that run serving scenarios (`python -m
-repro.experiments --scenario`, ``repro.perf``) just import
+repro.experiments --scenario`, ``python -m bench``) just import
 ``repro.workload`` first.
 """
 

@@ -4,24 +4,23 @@ One :class:`~repro.workload.serving.TrafficEngine` per shard, each
 spawning only the programs whose node lives on that shard (the roots'
 arrival RNG streams are named per group, so schedules are identical to
 serial wherever the root lands).  The shards advance through the
-conservative safe-window conductor (:mod:`repro.sim.parallel`) —
-in-process, or one OS process per shard — and the per-shard
-:class:`ServingStats` merge into one serial-equivalent snapshot.
+conservative safe-window conductor (:mod:`repro.sim.parallel`), and the
+per-shard :class:`ServingStats` merge into one serial-equivalent
+snapshot.
 
 What partitioning preserves exactly: every count, and therefore every
 rate the snapshot reports — and the result is invariant across shard
-counts and across in-process vs. process-per-shard execution.  What it
-does not promise to reproduce from the *serial* run: the order of
-``latencies_us`` (concatenated in shard order; quantiles sort), and
-serial's same-instant tie order on contended links — two walks
+counts.  What it does not promise to reproduce from the *serial* run:
+the order of ``latencies_us`` (concatenated in shard order; quantiles
+sort), and serial's same-instant tie order on contended links — two walks
 claiming one channel in the same simulated instant are granted in
 per-shard scheduling order, not serial's global order, so a tie swap
 shifts the two latencies by one serialization time (and can add a
 counted grant event to ``sim_events``).  Tie-free workloads — the
 golden trace, the fig-3 sweep, the smoke-scale serving tests — replay
-serial byte-identically; the heavy benchmark workload
-(:mod:`repro.perf.bench_parallel`) measures and reports the tie drift
-instead.
+serial byte-identically; on the 256-node long-cable workload of
+``tests/sim/test_parallel_golden.py`` only the counts and quantiles are
+compared with serial.
 """
 
 from __future__ import annotations
@@ -30,11 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.scenario.partition import build_shard, make_plan
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.parallel import (
-    ShardSet,
-    merge_flight_events,
-    run_sharded_processes,
-)
+from repro.sim.parallel import ShardSet, merge_flight_events
 from repro.workload.serving import ServingStats, TrafficEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,7 +66,7 @@ def merge_serving_stats(shard_stats: list[ServingStats]) -> ServingStats:
 
 
 class _ServingShard:
-    """One shard's engine, shaped for the conductor protocols."""
+    """One shard's engine, shaped for the conductor."""
 
     def __init__(
         self,
@@ -87,66 +82,34 @@ class _ServingShard:
         self.network = cluster.network
         self.engine.start()
 
-    def result(self) -> tuple[ServingStats, Any]:
-        """Per-shard stats plus the shard's metrics registry (if any)."""
-        return self.engine.finalize(), self.sim.metrics
-
-
-def _serving_factory(
-    shard_id: int, spec_json: str, registry_cls: Any
-) -> _ServingShard:
-    """Process-mode shard builder (module-level: must pickle)."""
-    spec = ScenarioSpec.from_json(spec_json)
-    registry = registry_cls() if registry_cls is not None else None
-    return _ServingShard(spec, make_plan(spec), shard_id, registry=registry)
-
 
 def run_serving_partitioned(
     spec: ScenarioSpec, registry: Any = None, flight: Any = None
 ) -> ServingStats:
     """Run a partitioned serving scenario; serial-equivalent stats.
 
-    In-process mode shares *registry* across every shard simulator, so
-    instrument updates land merged by construction.  Process mode gives
-    each worker a fresh registry of the same (duck-typed) class and
-    folds the per-shard registries back into *registry* via its
-    ``merge`` method afterwards.
-
-    ``flight`` (a :class:`repro.obs.flight.FlightRecorder`-shaped
-    object) is forked per shard in-process and the shard streams merged
-    back in global time order afterwards; process mode runs
-    flight-detached (per-worker events are not piped back).
+    *registry* is shared by every shard simulator, so instrument
+    updates land merged by construction.  ``flight`` (a
+    :class:`repro.obs.flight.FlightRecorder`-shaped object) is forked
+    per shard and the shard streams merged back in global time order
+    afterwards.
     """
     plan = make_plan(spec)
-    until = spec.traffic.duration_us
-    if spec.partition.processes:
-        registry_cls = type(registry) if registry is not None else None
-        results = run_sharded_processes(
-            _serving_factory, (spec.to_json(), registry_cls), plan,
-            until=until,
+    shards = [
+        _ServingShard(
+            spec, plan, sid, registry=registry,
+            flight=flight.fork() if flight is not None else None,
         )
-        shard_stats = [stats for stats, _metrics in results]
-        if registry is not None:
-            merge = getattr(registry, "merge", None)
-            for _stats, shard_metrics in results:
-                if merge is not None and shard_metrics is not None:
-                    merge(shard_metrics)
-    else:
-        shards = [
-            _ServingShard(
-                spec, plan, sid, registry=registry,
-                flight=flight.fork() if flight is not None else None,
-            )
-            for sid in range(plan.n_shards)
-        ]
-        ShardSet(
-            plan,
-            [s.sim for s in shards],
-            [s.network for s in shards],
-        ).run(until=until)
-        shard_stats = [s.engine.finalize() for s in shards]
-        if flight is not None:
-            flight.absorb(merge_flight_events([s.sim for s in shards]))
+        for sid in range(plan.n_shards)
+    ]
+    ShardSet(
+        plan,
+        [s.sim for s in shards],
+        [s.network for s in shards],
+    ).run(until=spec.traffic.duration_us)
+    shard_stats = [s.engine.finalize() for s in shards]
+    if flight is not None:
+        flight.absorb(merge_flight_events([s.sim for s in shards]))
     merged = merge_serving_stats(shard_stats)
     if registry is not None:
         # Re-stamp the end-of-run gauges with the merged (global) rates;

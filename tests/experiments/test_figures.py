@@ -24,19 +24,15 @@ def test_fig2_runs():
     )
 
 
-def test_fig3_quick_shape():
-    from repro.experiments import fig3
-
-    result = fig3.run(quick=True, sizes=[1, 16384])
+def test_fig3_quick_shape(quick_figure):
+    result = quick_figure("fig3")
     factor = result.get("factor-4dest")
     assert factor.y_at(1) > 1.5
     assert 0.8 < factor.y_at(16384) < 1.2
 
 
-def test_fig5_quick_shape():
-    from repro.experiments import fig5
-
-    result = fig5.run(quick=True, sizes=[1, 4096], node_counts=(4, 16))
+def test_fig5_quick_shape(quick_figure):
+    result = quick_figure("fig5")
     assert result.get("factor-16").y_at(1) > result.get("factor-4").y_at(1)
 
 

@@ -41,10 +41,8 @@ VALUES = Path(__file__).with_name("golden_measure_values.json")
 QUICK_FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7")
 
 
-def quick_tables() -> str:
-    chunks = [
-        run_figure(fig, quick=True, jobs=1).render() for fig in QUICK_FIGURES
-    ]
+def quick_tables(figure=lambda fig: run_figure(fig, quick=True, jobs=1)) -> str:
+    chunks = [figure(fig).render() for fig in QUICK_FIGURES]
     return "\n\n".join(chunks) + "\n"
 
 
@@ -79,8 +77,8 @@ def measure_values() -> dict:
     }
 
 
-def test_quick_tables_byte_identical():
-    assert quick_tables() == TABLES.read_text()
+def test_quick_tables_byte_identical(quick_figure):
+    assert quick_tables(quick_figure) == TABLES.read_text()
 
 
 def test_measure_values_exact():

@@ -1,13 +1,18 @@
 """Recovery-scheme invariants: exactly-once delivery, scheme behavior,
 and window drainage across a mid-broadcast link failure."""
 
+from statistics import mean
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.experiments import fig8
+from repro.gm.params import GMCostModel
 from repro.mcast.schemes import get_scheme, resolve_scheme
 from repro.net.failure import FailureEvent, FailureSpec
 from repro.obs.registry import MetricsRegistry
+from repro.scenario import broadcast_point, run_spec
 from repro.trees import build_tree
 
 N = 16
@@ -115,3 +120,41 @@ def test_no_failures_means_no_recovery_activity():
     assert sorted(state["delivered"]) == list(range(1, N))
     for name in registry.names():
         assert not name.startswith("mcast.recovery."), name
+
+
+#: Recovery latency (µs) per scheme on Figure 8's fixture, as (mean,
+#: 95th percentile): a 64-node Clos, one 16 KiB broadcast over the
+#: binomial tree, and the three staggered interior NIC-link outages.  A
+#: destination in a failed node's subtree that is served after the link
+#: went down recovers in ``host delivery time - link_down time``.
+#: EXPERIMENTS.md and docs/architecture.md cite these numbers.
+FIG8_RECOVERY_US = {
+    "nic_based": (1618.405, 1949.928),
+    "backup_tree": (599.951, 859.674),
+    "tree_repair": (712.442, 890.986),
+}
+
+
+def test_fig8_recovery_latencies():
+    tree = build_tree(0, list(range(1, fig8.NODES)), shape="binomial")
+    failures = fig8.failure_spec(len(fig8.VICTIMS), GMCostModel())
+    measured = {}
+    for scheme in fig8.SCHEMES:
+        spec = broadcast_point(
+            fig8.NODES, fig8.SIZE, scheme, tree_shape="binomial",
+            failures=failures,
+        )
+        point = run_spec(spec).value(fig8.SIZE)
+        assert len(point.deliveries) == fig8.NODES - 1, scheme
+        latencies = []
+        for k, victim in enumerate(fig8.VICTIMS):
+            down = fig8.DOWN_AT + fig8.STAGGER * k
+            for node in tree.subtree_nodes(victim):
+                delivered = point.deliveries.get(node)
+                if delivered is not None and delivered > down:
+                    latencies.append(delivered - down)
+        assert len(latencies) == 56, scheme
+        ordered = sorted(latencies)
+        p95 = ordered[int(0.95 * (len(ordered) - 1))]
+        measured[scheme] = (round(mean(latencies), 3), round(p95, 3))
+    assert measured == FIG8_RECOVERY_US

@@ -394,12 +394,12 @@ def test_golden_trace_identical_with_flight_attached():
     assert fr.traces() == [0]  # one root message, origin 0, first post
 
 
-def test_fig3_quick_tables_identical_with_flight_attached():
+def test_fig3_quick_tables_identical_with_flight_attached(quick_figure):
     """The fig3 sweep renders byte-identically attached vs detached."""
     from repro.experiments.cli import run_figure
     from repro.sim.engine import set_default_flight
 
-    detached = run_figure("fig3", quick=True, jobs=1).render()
+    detached = quick_figure("fig3").render()
     previous = set_default_flight(FlightRecorder(sample=1.0))
     try:
         attached = run_figure("fig3", quick=True, jobs=1).render()

@@ -10,10 +10,18 @@ cancellation per burst, regardless of how many records each burst
 arms).
 """
 
+from repro.cluster import Cluster
+from repro.config import ClusterConfig
+from repro.gm.params import GMCostModel
+from repro.mcast.manager import install_group
+from repro.net.fault import ScriptedLoss
+from repro.net.packet import PacketType
+from repro.obs.registry import MetricsRegistry
 from repro.perf import KERNEL_COUNTERS
 from repro.proto.timer import RetransmitTimer
 from repro.proto.window import NEVER, SendWindow
 from repro.sim import Simulator
+from repro.trees import build_tree
 
 
 class _Record:
@@ -166,3 +174,71 @@ def test_defuse_is_a_noop_with_records_outstanding():
 
     sim.process(driver())
     sim.run(until=2.0)
+
+
+#: Timer churn of :func:`test_timer_churn_counts_are_exact`'s workload
+#: under the per-record ``call_at(lambda …)`` timers this module
+#: replaced: one heap callback per (re)arm, generation-checked at pop.
+PER_RECORD_TIMERS = {"heap_callbacks": 141, "fires": 117, "stale_fires": 116}
+
+
+def test_timer_churn_counts_are_exact():
+    """Twenty 4 KiB multicasts over an 8-node optimal tree with one
+    forced retransmission.  The protocol asks for as many (re)arms as
+    the per-record timers pushed heap callbacks; the per-window timer
+    turns them into 61 callbacks, 2 fires and 1 stale fire.  The
+    registry's ``proto.timers_*`` counters and ``KERNEL_COUNTERS``
+    agree."""
+    n, size, rounds = 8, 4096, 20
+    cost = GMCostModel()
+    loss = ScriptedLoss(
+        lambda p: p.header.ptype is PacketType.MCAST_DATA
+        and p.header.seq == 1,
+        times=1,
+    )
+    registry = MetricsRegistry()
+    with Cluster(
+        ClusterConfig(n_nodes=n, cost=cost, seed=0), loss=loss
+    ) as cluster:
+        cluster.sim.metrics = registry
+        dests = list(range(1, n))
+        tree = build_tree(0, dests, shape="optimal", cost=cost, size=size)
+        install_group(cluster, 1, tree)
+
+        def root():
+            for _ in range(rounds):
+                handle = yield from cluster.node(0).mcast.multicast_send(
+                    cluster.port(0), 1, size
+                )
+                yield handle.done
+
+        def member(i):
+            port = cluster.port(i)
+            for _ in range(rounds):
+                yield from port.receive()
+                yield from port.provide_receive_buffer()
+
+        KERNEL_COUNTERS.reset()
+        procs = [cluster.spawn(root())]
+        procs += [cluster.spawn(member(i)) for i in dests]
+        cluster.run(until=cluster.sim.all_of(procs))
+        snap = KERNEL_COUNTERS.snapshot()
+
+    registered = {
+        "arm_requests": registry.value("proto.timers_armed"),
+        "heap_callbacks": registry.value("proto.timers_scheduled"),
+        "fires": registry.value("proto.timer_fires"),
+        "stale_fires": registry.value("proto.timer_stale_fires"),
+    }
+    kernel = {
+        "arm_requests": snap["timers_armed"],
+        "heap_callbacks": snap["timers_scheduled"],
+        "fires": snap["timer_fires"],
+        "stale_fires": snap["timer_stale_fires"],
+    }
+    assert registered == kernel
+    assert registered == {
+        "arm_requests": 141, "heap_callbacks": 61, "fires": 2,
+        "stale_fires": 1,
+    }
+    assert registered["arm_requests"] == PER_RECORD_TIMERS["heap_callbacks"]

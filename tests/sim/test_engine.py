@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.perf import KERNEL_COUNTERS
 from repro.sim import Resource, Simulator, SimEvent
 
 
@@ -270,6 +271,17 @@ def test_close_drops_queued_work_and_ends_waiting_processes():
     assert not holder.triggered and not waiter.triggered
     assert timer.fn is None
     assert "queued=0" in repr(sim)
+
+
+def test_kernel_counters_track_engine():
+    KERNEL_COUNTERS.reset()
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.timeout(2.0)
+    sim.run()
+    snap = KERNEL_COUNTERS.snapshot()
+    assert snap["simulators"] >= 1
+    assert snap["events"] >= 2
 
 
 class TestConditions:

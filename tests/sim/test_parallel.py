@@ -277,9 +277,7 @@ class TestPartitionSpec:
     def test_round_trip(self):
         from repro.scenario.spec import PartitionSpec
 
-        spec = PartitionSpec(
-            shards=4, partitioner="contiguous", seed=3, processes=True
-        )
+        spec = PartitionSpec(shards=4, partitioner="contiguous", seed=3)
         assert PartitionSpec.from_dict(spec.to_dict()) == spec
 
     def test_defaults(self):
@@ -288,7 +286,15 @@ class TestPartitionSpec:
         spec = PartitionSpec()
         assert spec.shards == 2
         assert spec.partitioner == "switch_affine"
-        assert spec.processes is False
+        assert spec.seed == 0
+
+    def test_processes_key_rejected_at_load(self):
+        # Process-per-shard execution is gone; a spec that still asks
+        # for it fails at load like any other unknown key.
+        from repro.scenario.spec import PartitionSpec
+
+        with pytest.raises(ConfigError, match="processes"):
+            PartitionSpec.from_dict({"shards": 2, "processes": True})
 
     def test_bad_partitioner_rejected(self):
         from repro.scenario.spec import PartitionSpec
@@ -331,11 +337,11 @@ class TestPartitionSpec:
 
 
 class TestPartitionedServing:
-    """Smoke-scale serving: serial, inline shards, and worker processes
-    must all land on one snapshot (tie-free at this scale)."""
+    """Smoke-scale serving: serial and sharded runs must land on one
+    snapshot (tie-free at this scale)."""
 
     @staticmethod
-    def _spec(processes, shards=2):
+    def _spec(shards=2):
         from dataclasses import replace
 
         from repro.scenario.spec import (
@@ -359,78 +365,21 @@ class TestPartitionedServing:
         )
         if shards is None:
             return spec
-        return replace(
-            spec,
-            partition=PartitionSpec(shards=shards, processes=processes),
-        )
+        return replace(spec, partition=PartitionSpec(shards=shards))
 
-    def test_inline_and_processes_match_serial(self):
+    def test_inline_matches_serial(self):
         import repro.workload  # noqa: F401
         from repro.scenario import Harness
 
-        serial = Harness(self._spec(None, shards=None)).run().values[0]
-        inline = Harness(self._spec(False)).run().values[0]
-        procs = Harness(self._spec(True)).run().values[0]
+        serial = Harness(self._spec(shards=None)).run().values[0]
+        inline = Harness(self._spec()).run().values[0]
         assert serial.msgs_delivered > 0
         assert inline.snapshot() == serial.snapshot()
-        assert procs.snapshot() == serial.snapshot()
 
     def test_four_shards_match_serial(self):
         import repro.workload  # noqa: F401
         from repro.scenario import Harness
 
-        serial = Harness(self._spec(None, shards=None)).run().values[0]
-        four = Harness(self._spec(False, shards=4)).run().values[0]
+        serial = Harness(self._spec(shards=None)).run().values[0]
+        four = Harness(self._spec(shards=4)).run().values[0]
         assert four.snapshot() == serial.snapshot()
-
-    def test_metrics_registry_merge_matches_inline(self):
-        """Process-mode registries merge to the in-process totals."""
-        import repro.workload  # noqa: F401
-        from repro.obs.registry import MetricsRegistry
-        from repro.workload.partitioned import run_serving_partitioned
-
-        inline_reg = MetricsRegistry()
-        run_serving_partitioned(self._spec(False), registry=inline_reg)
-        proc_reg = MetricsRegistry()
-        run_serving_partitioned(self._spec(True), registry=proc_reg)
-        inline_counters = {
-            name: inline_reg.value(name)
-            for name in inline_reg.names()
-            if type(inline_reg.get(name)).__name__ == "Counter"
-        }
-        proc_counters = {
-            name: proc_reg.value(name)
-            for name in proc_reg.names()
-            if type(proc_reg.get(name)).__name__ == "Counter"
-        }
-        assert inline_counters == proc_counters
-        assert inline_counters  # the run actually observed something
-
-
-class TestRegistryMerge:
-    def test_counter_gauge_histogram_merge(self):
-        from repro.obs.registry import MetricsRegistry
-
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("x.count", 3)
-        b.inc("x.count", 4)
-        a.set_gauge("x.gauge", 7.0)
-        b.set_gauge("x.gauge", 5.0)
-        a.observe("x.hist", 10.0)
-        b.observe("x.hist", 20.0)
-        a.merge(b)
-        assert a.value("x.count") == 7
-        assert a.value("x.gauge") == 7.0
-        hist = a.get("x.hist")
-        assert hist.count == 2
-        assert hist.total == 30.0
-
-    def test_mismatched_histogram_bounds_rejected(self):
-        from repro.obs.registry import MetricsError, MetricsRegistry
-
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0))
-        b.histogram("h", buckets=(1.0, 3.0))
-        b.observe("h", 1.5, buckets=(1.0, 3.0))
-        with pytest.raises(MetricsError):
-            a.merge(b)

@@ -18,6 +18,7 @@ Two workload-level accommodations, both documented in
   by first appearance exactly as the serial golden test does.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -247,3 +248,105 @@ def test_failure_broadcast_replay_identical(mode):
         f"{mode} replay diverged: {second_point} != {first_point}"
     )
     assert second_metrics == first_metrics, f"{mode} metrics diverged"
+
+
+# ---------------------------------------------------------------------------
+# 256-node long-cable serving: the regime sharding was built for.  Every
+# count and reported quantile must equal serial's, pinned in
+# ``golden_clos256_serving.json``, and the 2- and 4-shard snapshots must
+# equal each other.  What may differ from serial is the same-instant tie
+# order on contended links: serial grants two walks that claim one
+# channel at one instant in global scheduling order, a shard in its
+# local order.  A swap shifts the two latencies by one serialization
+# time and can add one counted grant event, so ``sim_events`` and the
+# per-group mean/max delivery times are left out of the comparison with
+# serial (see repro.workload.partitioned).
+# ---------------------------------------------------------------------------
+
+CLOS256_FIXTURE = Path(__file__).with_name("golden_clos256_serving.json")
+
+
+def _clos256_snapshot(shards):
+    """The serving snapshot of the 256-node spec; serial for ``None``."""
+    from dataclasses import replace
+
+    import repro.workload  # noqa: F401  (registers the serving runner)
+    from repro.scenario import TrafficSpec, serving_point
+    from repro.scenario.harness import Harness
+    from repro.scenario.spec import PartitionSpec
+
+    # Long cables: the conservative lookahead is the minimum cut-link
+    # latency, so 4 µs links and 6 µs crossbar hops give wide windows.
+    spec = serving_point(
+        n_nodes=256,
+        traffic=TrafficSpec(
+            duration_us=10_000.0,
+            n_groups=96,
+            group_size=6,
+            rate_per_group=1 / 500.0,
+            sizes=(8_192, 32_768),
+            schemes=(
+                "nic_based", "nic_multisend", "host_based", "nic_assisted",
+            ),
+            churn_interval_us=0.0,
+            warmup_us=1_000.0,
+        ),
+        cost=GMCostModel(link_latency=4.0, switch_hop_latency=6.0),
+        seed=23,
+        name="clos256-long-cable-serving",
+    )
+    if shards is not None:
+        spec = replace(
+            spec,
+            partition=PartitionSpec(shards=shards, partitioner="switch_affine"),
+        )
+    return Harness(spec).run().values[0].snapshot()
+
+
+def _tie_free_view(snap):
+    """*snap* without what tie order may move, as its JSON form."""
+    view = {k: v for k, v in snap.items() if k != "sim_events"}
+    view["per_group"] = {
+        gid: {
+            k: v
+            for k, v in group.items()
+            if k not in ("mean_delivery_us", "max_delivery_us")
+        }
+        for gid, group in snap["per_group"].items()
+    }
+    return json.loads(json.dumps(view))
+
+
+@pytest.fixture(scope="module")
+def clos256_sharded():
+    """``clos256_sharded(shards)``: each shard count runs once per module."""
+    runs = {}
+
+    def get(shards):
+        if shards not in runs:
+            runs[shards] = _clos256_snapshot(shards)
+        return runs[shards]
+
+    return get
+
+
+@pytest.mark.parametrize("n_shards", [2, 4])
+def test_clos256_serving_counts_and_quantiles_match_serial(
+    n_shards, clos256_sharded
+):
+    serial = json.loads(CLOS256_FIXTURE.read_text())
+    sharded = clos256_sharded(n_shards)
+    assert serial["msgs_delivered"] > 0
+    assert _tie_free_view(sharded) == serial
+    other = {2: 4, 4: 2}[n_shards]
+    assert sharded == clos256_sharded(other), (
+        "2- and 4-shard snapshots differ"
+    )
+
+
+if __name__ == "__main__":  # fixture regeneration entry point
+    CLOS256_FIXTURE.write_text(
+        json.dumps(_tie_free_view(_clos256_snapshot(None)), indent=1,
+                   sort_keys=True) + "\n"
+    )
+    print(f"wrote {CLOS256_FIXTURE}")

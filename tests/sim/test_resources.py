@@ -123,6 +123,33 @@ class TestResource:
         sim.run(until=sim.process(user()))
         assert res.in_use == 0
 
+    def test_closed_waiter_leaves_the_queue(self):
+        # A process closed while it waits in use() must not keep its
+        # claim: the holder's release would grant the unit to the dead
+        # claim, and the late user would never run.
+        sim = Simulator()
+        res = Resource(sim)
+        log = []
+
+        def user(tag, delay, hold):
+            yield sim.timeout(delay)
+            yield from res.use(hold)
+            log.append((tag, sim.now))
+
+        sim.process(user("holder", 0.0, 10.0))
+        waiter = sim.process(user("waiter", 0.0, 5.0))
+        sim.process(user("late", 2.0, 11.0))
+
+        def closer():
+            yield sim.timeout(1.0)
+            waiter.close()
+
+        sim.process(closer())
+        sim.run()
+        assert log == [("holder", 10.0), ("late", 21.0)]
+        assert res.in_use == 0
+        assert res.queue_length == 0
+
 
 class TestStore:
     def test_put_then_get(self):

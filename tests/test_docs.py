@@ -14,8 +14,10 @@ def test_required_documents_exist():
 
 def test_design_lists_every_figure_bench():
     design = (REPO / "DESIGN.md").read_text()
-    for bench in sorted((REPO / "benchmarks").glob("test_fig*.py")):
-        assert bench.name in design, bench.name
+    claims = sorted((REPO / "tests" / "claims").glob("test_fig*.py"))
+    assert claims
+    for test in claims:
+        assert f"tests/claims/{test.name}" in design, test.name
 
 
 def test_readme_examples_exist():

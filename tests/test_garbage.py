@@ -11,6 +11,7 @@ what is left, so a failure says which edge leaks, not only how much.
 """
 
 import gc
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.config import ClusterConfig
 from repro.mcast.schemes import BoundScheme, available_schemes, get_scheme
 from repro.net import Network, Packet, PacketHeader, PacketType, single_switch
 from repro.net.failure import FailureEvent, FailureSpec
+from repro.obs.health import run_observed
 from repro.scenario import Harness, ScenarioSpec
 from repro.scenario.harness import run_spec
 from repro.scenario.spec import (
@@ -314,6 +316,21 @@ def test_closed_serving_cluster_leaves_nothing():
         (SCENARIOS / "serving_churn.json").read_text()
     )
     garbage = left_for_collector(lambda: Harness(spec).run())
+    assert garbage == [], describe(garbage)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_probe_figures_close_their_clusters(figure):
+    # fig1 and fig2 build their probe clusters outside Harness.
+    module = importlib.import_module(f"repro.experiments.{figure}")
+    garbage = left_for_collector(lambda: module.run(quick=True))
+    assert garbage == [], describe(garbage)
+
+
+def test_observed_run_closes_its_cluster():
+    garbage = left_for_collector(
+        lambda: run_observed("nic_based", flight=True, trace=True)
+    )
     assert garbage == [], describe(garbage)
 
 

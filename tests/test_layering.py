@@ -42,16 +42,16 @@ def test_checker_sees_through_guards():
 
 
 def test_obs_back_edge_rule(tmp_path):
-    """Instrumented layers must not import repro.obs; experiments and
-    perf (which aggregate/report) may."""
+    """Instrumented layers must not import repro.obs; experiments (which
+    aggregates and reports) may."""
     mod = _load_checker()
     src = tmp_path / "src" / "repro"
     (src / "nic").mkdir(parents=True)
-    (src / "perf").mkdir()
+    (src / "experiments").mkdir()
     (src / "nic" / "bad.py").write_text(
         "import repro.obs\n"
     )
-    (src / "perf" / "ok.py").write_text(
+    (src / "experiments" / "ok.py").write_text(
         "from repro.obs.registry import MetricsRegistry\n"
     )
     mod.SRC = src

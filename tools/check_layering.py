@@ -4,8 +4,9 @@
 Three rules are load-bearing enough to gate CI on:
 
 * ``repro.sim`` is the bottom of the stack: it may import nothing from
-  the rest of the package except :mod:`repro.perf.counters` (a leaf the
-  kernel increments on its hot path);
+  the rest of the package except :mod:`repro.perf.counters` (the
+  counters the kernel increments on its hot path);
+* ``repro.perf`` is a leaf: it imports nothing else from ``repro``;
 * ``repro.proto`` is the transport-agnostic reliability core: it sits
   below the protocol engines and must never import ``repro.gm`` or
   ``repro.mcast`` (nor anything above them);
@@ -18,8 +19,8 @@ Three rules are load-bearing enough to gate CI on:
   back.  A future widening of the ``proto`` entry cannot silently
   widen this one;
 * ``repro.obs`` is the observation layer on *top*: it may import from
-  every layer, but nothing outside ``repro.obs``, ``repro.experiments``,
-  and ``repro.perf`` may import it back (instrumented layers reach the
+  every layer, but nothing outside ``repro.obs`` and
+  ``repro.experiments`` may import it back (instrumented layers reach the
   registry only through the duck-typed ``sim.metrics`` slot and the
   flight recorder only through ``sim.flight`` — no instrumentation
   back-edges).  ``repro.obs.flight`` gets its own dedicated back-edge
@@ -28,15 +29,14 @@ Three rules are load-bearing enough to gate CI on:
 * ``repro.scenario`` sits between the protocol engines and the
   experiment harness: it may import anything below it but never
   ``repro.experiments``, and only ``repro.scenario``,
-  ``repro.workload``, ``repro.experiments``, ``repro.perf``, and
-  ``repro.obs`` (the observation layer drives specs through the
-  harness) may import it back (the engines stay spec-agnostic);
+  ``repro.workload``, ``repro.experiments``, and ``repro.obs`` (the
+  observation layer drives specs through the harness) may import it
+  back (the engines stay spec-agnostic);
 * ``repro.workload`` (sustained-traffic generators) sits just above the
   scenario layer: it may import the engines and ``repro.scenario`` (it
   registers its runner with the harness on import) but never
   ``repro.experiments`` or ``repro.obs``, and only ``repro.workload``,
-  ``repro.experiments``, ``repro.perf``, and ``repro.obs`` may import
-  it back.
+  ``repro.experiments``, and ``repro.obs`` may import it back.
 
 * ``repro.trees`` is pure structure (shapes, backup/repair managers,
   deadlock-feasibility checks): it may never import ``repro.mcast`` —
@@ -63,6 +63,7 @@ SRC = REPO / "src" / "repro"
 
 #: package -> module prefixes it may import from ``repro``.
 ALLOWED = {
+    "perf": ("repro.perf",),
     "sim": ("repro.sim", "repro.perf.counters", "repro.perf"),
     # Per-module exception: the conservative-parallel conductor
     # partitions Topology/Network state, so it may reach one layer up
@@ -145,16 +146,16 @@ ALLOWED = {
 }
 
 #: Packages (and top-level modules) allowed to import ``repro.obs``.
-OBS_IMPORTERS = ("obs", "experiments", "perf")
+OBS_IMPORTERS = ("obs", "experiments")
 #: Packages allowed to import ``repro.obs.flight`` specifically — same
 #: set today, but checked separately so a future widening of
 #: OBS_IMPORTERS cannot silently hand the hot-path recorder type to a
 #: lower layer (instrumentation sites stay duck-typed on ``sim.flight``).
-OBS_FLIGHT_IMPORTERS = ("obs", "experiments", "perf")
+OBS_FLIGHT_IMPORTERS = ("obs", "experiments")
 #: Packages (and top-level modules) allowed to import ``repro.scenario``.
-SCENARIO_IMPORTERS = ("scenario", "workload", "experiments", "perf", "obs")
+SCENARIO_IMPORTERS = ("scenario", "workload", "experiments", "obs")
 #: Packages (and top-level modules) allowed to import ``repro.workload``.
-WORKLOAD_IMPORTERS = ("workload", "experiments", "perf", "obs")
+WORKLOAD_IMPORTERS = ("workload", "experiments", "obs")
 
 #: Modules allowed to subscribe to failure-injector hooks
 #: (``<injector>.subscribe(cb)``).  Failure *detection* is a protocol /
