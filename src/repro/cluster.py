@@ -12,17 +12,11 @@ from the paper's steady state.
 Whoever builds a cluster closes it once its results are read
 (:meth:`Cluster.close`, or a ``with`` block), so reference counting,
 not the cyclic garbage collector, frees it.
-
-Partitioned execution (:mod:`repro.sim.parallel`) builds one cluster per
-shard with ``local_nodes`` restricted to that shard: the topology is
-replicated everywhere (routes must be derivable on any shard), but only
-local NICs get :class:`~repro.host.node.Node` state, GM ports, and
-network sinks — remote slots stay ``None``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.config import ClusterConfig
 from repro.gm.api import GMPort
@@ -41,9 +35,8 @@ __all__ = ["Cluster", "build_topology"]
 def build_topology(sim: Simulator, cfg: ClusterConfig) -> Topology:
     """The fabric a :class:`ClusterConfig` describes, on *sim*.
 
-    Module-level so the partition planner can build a scratch replica
-    (for shard assignment and lookahead) without paying for nodes,
-    ports, or prepost tokens.
+    Module-level so a scratch fabric (fig8 and fig9 look up the cables
+    their failure specs name) costs no nodes, ports, or prepost tokens.
     """
     cost = cfg.cost
     args = (
@@ -61,13 +54,12 @@ def build_topology(sim: Simulator, cfg: ClusterConfig) -> Topology:
 
 
 class Cluster:
-    """A complete simulated system (or one shard of one)."""
+    """A complete simulated system."""
 
     def __init__(
         self,
         config: ClusterConfig | None = None,
         loss: LossModel | None = None,
-        local_nodes: Iterable[int] | None = None,
     ):
         self.config = config or ClusterConfig()
         cfg = self.config
@@ -80,51 +72,29 @@ class Cluster:
             loss = cfg.loss.build()
         self.network = Network(self.sim, self.topology, loss=loss)
         #: Topology-failure lifecycle (``None`` on the perfect fabric).
-        #: Each shard of a partitioned run builds its own replica from
-        #: the same spec and seed, so transitions land at identical
-        #: instants everywhere without cross-shard control traffic.
         self.failures: FailureInjector | None = (
             FailureInjector(self.sim, self.topology, cfg.failures)
             if cfg.failures is not None and cfg.failures.kind != "none"
             else None
         )
-        self._local: frozenset[int] | None = (
-            None if local_nodes is None else frozenset(local_nodes)
-        )
-        self.nodes: list[Node | None] = [
+        self.nodes: list[Node] = [
             Node(self.sim, i, cfg.cost, self.network)
-            if self._local is None or i in self._local
-            else None
             for i in range(cfg.n_nodes)
         ]
-        self.ports: list[GMPort | None] = [
-            node.open_port(0) if node is not None else None
-            for node in self.nodes
-        ]
+        self.ports: list[GMPort] = [node.open_port(0) for node in self.nodes]
         for port in self.ports:
-            if port is not None:
-                port.prepost_recv_tokens(cfg.prepost_recv_tokens)
+            port.prepost_recv_tokens(cfg.prepost_recv_tokens)
 
     # -- convenience ----------------------------------------------------------
     @property
     def n_nodes(self) -> int:
         return self.config.n_nodes
 
-    def is_local(self, i: int) -> bool:
-        """Whether node *i* has state on this (shard of a) cluster."""
-        return self._local is None or i in self._local
-
     def node(self, i: int) -> Node:
-        node = self.nodes[i]
-        if node is None:
-            raise LookupError(f"node {i} lives on another shard")
-        return node
+        return self.nodes[i]
 
     def port(self, i: int) -> GMPort:
-        port = self.ports[i]
-        if port is None:
-            raise LookupError(f"node {i} lives on another shard")
-        return port
+        return self.ports[i]
 
     def spawn(
         self, generator: Generator, name: str | None = None
@@ -135,11 +105,10 @@ class Cluster:
     def spawn_on_all(
         self, make_program: Callable[[Node], Generator]
     ) -> list[Process]:
-        """One process per (local) node, built by ``make_program(node)``."""
+        """One process per node, built by ``make_program(node)``."""
         return [
             self.spawn(make_program(node), name=f"prog[{node.id}]")
             for node in self.nodes
-            if node is not None
         ]
 
     def run(self, until: float | SimEvent | None = None) -> Any:
@@ -151,8 +120,7 @@ class Cluster:
         ending the other layers' processes queued.
         """
         for node in self.nodes:
-            if node is not None:
-                node.close()
+            node.close()
         self.network.close()
         self.topology.close()
         if self.failures is not None:

@@ -247,7 +247,7 @@ class CollectiveEngine:
             {"coll": "up", "epoch": epoch, "op": state.op, "value": value},
         )
         # Resend until the DOWN wave for this epoch arrives.
-        self.sim.call_at(
+        self.sim.schedule_callback(
             self.sim.now + self.cost.ack_timeout,
             lambda: self._up_timeout(group_id, epoch, generation, value),
         )
@@ -293,7 +293,7 @@ class CollectiveEngine:
                 {"coll": "down", "epoch": epoch, "op": state.op,
                  "value": state.result},
             )
-        self.sim.call_at(
+        self.sim.schedule_callback(
             self.sim.now + self.cost.ack_timeout,
             lambda: self._down_timeout(group_id, epoch, generation),
         )

@@ -53,17 +53,11 @@ def install_group(
 ) -> None:
     """Prepost *tree* into every member NIC's group table (zero cost).
 
-    On a partitioned shard (a cluster built with ``local_nodes``) only
-    the shard-local members' tables exist; the other shards install the
-    same tree into theirs, so the union covers the whole group.
     ``family``/``params`` select the group's reliability engine
     (see :mod:`repro.proto.engines`).
     """
-    is_local = getattr(cluster, "is_local", None)
     views = local_views(group_id, tree, port_num, family, params)
     for node_id, state in views.items():
-        if is_local is not None and not is_local(node_id):
-            continue
         cluster.node(node_id).mcast.install_group_now(state)
     m = cluster.sim.metrics
     if m is not None:

@@ -22,15 +22,6 @@ acknowledged (regenerating retired records from message metadata), and
 duplicates are dropped and re-acked at the receivers — host delivery
 stays exactly-once.
 
-Determinism under sharding: every shard runs an identical
-:class:`RecoveryManager` replica.  Failure notifications land at
-identical instants (same spec, same seed), reachability is evaluated on
-each shard's identical topology replica, and the repair computation is
-deterministic — so all shards derive the same new tree and each applies
-the group-table updates only to its local nodes.  No cross-shard control
-traffic exists; only data packets (replays, acks) cross shards, via the
-ordinary handoff machinery.
-
 The group-update push itself is modeled as an out-of-band host control
 plane (NIC host-command queues, normal command processing costs): link
 failures sever the *data* fabric, while the management path — serial
@@ -59,13 +50,13 @@ __all__ = [
 
 
 class RecoveryManager:
-    """One cluster's (or one shard's) recovery control plane for a group.
+    """One cluster's recovery control plane for a group.
 
     Subscribes to the failure injector; on each detection, re-derives
     reachability of the current tree's members from the root, heals the
     tree around newly unreachable nodes (per ``mode``), and pushes
     per-node :class:`UpdateGroupCommand`/:class:`ReplayCommand` to the
-    *local* NICs affected.
+    NICs affected.
     """
 
     def __init__(
@@ -155,15 +146,13 @@ class RecoveryManager:
     def _push_updates(
         self, old: "SpanningTree", new: "SpanningTree"
     ) -> None:
-        """UpdateGroupCommand to every local node whose view changed."""
+        """UpdateGroupCommand to every node whose view changed."""
         cluster = self.cluster
         for node in new.nodes:
             if (
                 new.parent_of(node) == old.parent_of(node)
                 and new.children_of(node) == old.children_of(node)
             ):
-                continue
-            if not cluster.is_local(node):
                 continue
             cluster.node(node).nic.post_command(UpdateGroupCommand(
                 port=self.port_num,
@@ -179,7 +168,7 @@ class RecoveryManager:
         if node not in set(tree.nodes):
             return
         parent = tree.parent_of(node)
-        if parent is None or not self.cluster.is_local(parent):
+        if parent is None:
             return
         m = self.sim.metrics
         if m is not None:

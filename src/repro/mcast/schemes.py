@@ -251,11 +251,10 @@ class NicBasedScheme(BoundScheme):
     def install(self) -> None:
         from repro.mcast.manager import install_group, next_group_id
 
-        # Partitioned runs pre-pin group_id (every shard must agree on
-        # the id stamped into packets) but still need the local group
-        # tables installed — install_group always runs; only id
-        # allocation is guarded.  install_group_now is an idempotent
-        # table write, so re-installation is harmless.
+        # A caller may pin group_id before installing; the tables are
+        # written either way, so only id allocation is guarded.
+        # install_group_now is an idempotent table write, so
+        # re-installation is harmless.
         if self.group_id is None:
             self.group_id = next_group_id()
         family, params = self._reliability_config()
@@ -307,7 +306,7 @@ class NicAssistedScheme(BoundScheme):
         from repro.mcast.nic_assisted import NicAssistedEngine
 
         for node in self.cluster.nodes:
-            if node is not None and not hasattr(node, "nic_assisted"):
+            if not hasattr(node, "nic_assisted"):
                 node.nic_assisted = NicAssistedEngine(node)
 
     def post(self, size: int, info: dict | None = None) -> Generator:

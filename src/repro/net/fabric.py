@@ -138,9 +138,8 @@ class _Traversal:
 
     def _cross(self, link) -> None:
         sim = self.sim
-        packet = self.packet
         ser = self.ser
-        ws = packet.wire_size
+        ws = self.packet.wire_size
         link.bytes_carried += ws
         link.packets_carried += 1
         m = sim.metrics
@@ -172,19 +171,6 @@ class _Traversal:
             _heappush(heap, (now + ser, 1, next(sseq), cell))
         self.hop += 1
         if self.hop < len(self.links):
-            net = self.net
-            if net._shard_id is not None:
-                # Partitioned run: if the next link lives on another
-                # shard, the hop becomes a timestamped inter-shard
-                # message due exactly when this claim callback would
-                # have run.  The feeder link just crossed terminates at
-                # a switch, so ``link.latency`` ≥ the partition
-                # lookahead — the message is always announced at least
-                # one safe window ahead of its due time.
-                owner = self.links[self.hop].owner
-                if owner != net._shard_id:
-                    net._post(owner, now + link.latency, packet, self.hop)
-                    return
             fn = self._claim
         else:
             fn = self._tail
@@ -292,12 +278,6 @@ class Network:
         # bandwidth division into a multiply.
         self._routes: dict[tuple[int, int], list] = topology._route_cache
         self._inv_bandwidth = 1.0 / topology.bandwidth
-        # Partitioned execution (repro.sim.parallel): this network's
-        # shard id and the conductor's message-post callable.  ``None``
-        # when unpartitioned — the per-hop cost of partition awareness
-        # in serial runs is a single None check in ``_Traversal._cross``.
-        self._shard_id: int | None = None
-        self._post: Callable[[int, float, Packet, int], None] | None = None
 
     def attach(self, nic_id: int, sink: Callable[[Packet], None]) -> None:
         """Register NIC *nic_id*'s receive handler."""
@@ -324,10 +304,7 @@ class Network:
         chain (:class:`_Traversal`) kicked off by an URGENT callback in
         the heap slot the old traversal process's boot event occupied.
         """
-        if packet.dst not in self._sinks and self._shard_id is None:
-            # Partitioned shards hold sinks only for their local NICs;
-            # remote destinations are legal (delivery happens on the
-            # shard owning the final link, which is shard(dst)).
+        if packet.dst not in self._sinks:
             raise RoutingError(f"no NIC attached at {packet.dst}")
         key = (packet.src, packet.dst)
         links = self._routes.get(key)
@@ -356,48 +333,6 @@ class Network:
         else:
             cell = _Callback(walk._claim)
         sim._now_uq.append(cell)
-
-    def bind_partition(
-        self,
-        shard_id: int,
-        post: Callable[[int, float, Packet, int], None],
-    ) -> None:
-        """Make this network shard-aware (see :mod:`repro.sim.parallel`).
-
-        *post* is the conductor's outbox: ``post(dest_shard, when,
-        packet, hop)`` records a timestamped handoff for delivery via
-        :meth:`accept_handoff` on the destination shard at the next
-        safe-window boundary.
-        """
-        self._shard_id = shard_id
-        self._post = post
-
-    def accept_handoff(self, when: float, packet: Packet, hop: int) -> None:
-        """Resume an inbound cross-shard traversal at link index *hop*.
-
-        Rebuilds the callback-chain walk against this shard's link
-        replicas (routes are deterministic, so every shard derives the
-        identical link list) and schedules its claim at exactly the
-        instant the sending shard's local claim callback would have run.
-        """
-        key = (packet.src, packet.dst)
-        links = self._routes.get(key)
-        if links is None:
-            try:
-                links = self.topology.route(*key)
-            except RoutingError:
-                self._drop_unroutable(packet, None)
-                return
-        if hop >= len(links):
-            # A failure transition re-dispersed this pair's route onto a
-            # shorter path while the packet was mid-handoff; the stale
-            # hop index has nowhere to resume.  Physical analogue: the
-            # in-flight flits drained at the rewired port.
-            self._drop_unroutable(packet, None)
-            return
-        walk = _Traversal(self, packet, links, None)
-        walk.hop = hop
-        self.sim.schedule_callback(when, walk._claim)
 
     def _drop_unroutable(
         self,

@@ -6,7 +6,7 @@ its topology-level generalization: whole cables and switches go down and
 come back up mid-run.  A :class:`FailureSpec` declares the schedule
 (explicit events, or a seeded MTBF draw); a :class:`FailureInjector`
 applies each transition to the live :class:`~repro.net.topology.Topology`
-(bumping ``Topology.version`` so every route/cut cache invalidates) and
+(bumping ``Topology.version`` so every route cache invalidates) and
 notifies subscribers at *detection* time — event time plus ``detect_us``
 — never omnisciently at the instant of the fault.  Higher layers
 (multicast recovery, scenario harnesses) therefore react exactly as a
@@ -15,9 +15,8 @@ packets for a little while.
 
 Determinism: the schedule is materialized eagerly at injector
 construction from the simulator's named RNG stream (``sim.rng(stream)``,
-derived from the cluster seed), so every shard of a partitioned run
-builds the identical schedule and applies the identical transitions at
-the identical instants — no cross-shard control traffic is needed.
+derived from the cluster seed), so a replay of the same spec and seed
+applies the identical transitions at the identical instants.
 """
 
 from __future__ import annotations
@@ -103,8 +102,7 @@ class FailureSpec:
     inter-arrival gaps of mean ``mtbf_us``, each paired with a recovery
     after an exponential outage of mean ``mttr_us`` — the classic
     MTBF/MTTR availability model, seeded from the cluster seed via the
-    named RNG ``stream`` so replays (and every shard of a partitioned
-    run) draw the identical schedule.
+    named RNG ``stream`` so replays draw the identical schedule.
 
     ``detect_us`` is the detection delay: subscribers hear about each
     transition that long after it happened, never before.
@@ -271,7 +269,7 @@ class FailureInjector:
         self.topology = topology
         self.spec = spec
         rng = sim.rng(spec.stream) if spec.kind == "random" else None
-        #: The concrete schedule (identical on every shard per seed).
+        #: The concrete schedule (identical for every replay of a seed).
         self.events: list[FailureEvent] = spec.schedule(topology, rng)
         self._subscribers: list[Callable[[FailureEvent], None]] = []
         #: Transitions actually applied (idempotent repeats excluded).

@@ -53,10 +53,6 @@ class Link:
         #: Cumulative bytes serialized (utilization accounting).
         self.bytes_carried = 0
         self.packets_carried = 0
-        #: Owning shard id under a :class:`repro.sim.parallel.PartitionPlan`
-        #: (``None`` when unpartitioned).  All contention state for this
-        #: link lives on the owner; replicas on other shards stay idle.
-        self.owner: int | None = None
         #: Live-fabric state: ``False`` while the cable (or an attached
         #: switch) is failed.  Flipped only through
         #: :meth:`repro.net.topology.Topology.set_link_state` /

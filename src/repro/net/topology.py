@@ -81,10 +81,8 @@ class Topology:
         self._pred_tuples: dict[tuple, tuple] = {}
         #: Bumped on every wiring change (:meth:`cable`) and on every
         #: failure transition (:meth:`set_link_state` /
-        #: :meth:`set_switch_state`).  The partition planner's cut-edge
-        #: scan (:mod:`repro.sim.parallel`) keys on it, so repeated
-        #: lookahead computations are O(cut), re-scanned only after the
-        #: fabric actually changes.
+        #: :meth:`set_switch_state`), each of which drops the memos
+        #: above.
         self.version = 0
         #: Failed cables (canonical sorted endpoint pairs) and switches.
         #: Routes are computed on the live subgraph; packets already in

@@ -33,16 +33,12 @@ costs about 70 bytes (``tests/obs/test_flight.py`` bounds it).  Reading
 recorded — one pass over the ring — so read it once per analysis, not
 inside a loop.
 
-**Determinism across shard counts.**  Trace ids are allocated per
-*origin* node (``origin * ORIGIN_STRIDE + n``-th post from that origin),
-and the sampling decision is a deterministic per-origin counter walk —
-no RNG, no global allocator.  A given scenario therefore assigns
-identical trace ids serial or sharded: an origin's posts all happen on
-its own shard, in shard-local deterministic order.  Packets cross shard
-boundaries whole (``Network.accept_handoff``), so trace ids survive
-cross-shard hops for free; per-shard recorders are folded back with
-:meth:`FlightRecorder.absorb` +
-:func:`repro.sim.parallel.merge_flight_events`.
+**Per-origin trace ids.**  Trace ids are allocated per *origin* node
+(``origin * ORIGIN_STRIDE + n``-th post from that origin), and the
+sampling decision is a deterministic per-origin counter walk — no RNG,
+no global allocator.  An origin's trace ids therefore depend only on
+its own posts: traffic from other nodes cannot renumber them, and a
+replay of the same scenario assigns the same ids.
 
 The critical-path analyzer over these events lives in
 :mod:`repro.obs.critical`.
@@ -70,8 +66,7 @@ __all__ = [
 ]
 
 #: Trace ids are ``origin * ORIGIN_STRIDE + per-origin-sequence``: unique
-#: across origins (and therefore across shards) without any global
-#: allocator, and stable across shard counts.
+#: across origins without any global allocator.
 ORIGIN_STRIDE = 1 << 20
 
 #: Every stage a hop event may carry (documentation + render order).
@@ -93,7 +88,7 @@ STAGES = (
 )
 
 #: A hop event, as :attr:`FlightRecorder.events` returns it, is a plain
-#: tuple (picklable, mergeable):
+#: tuple (picklable):
 #: ``(when, trace_id, stage, node, uid, chunk, extra)``.
 FlightEvent = tuple
 EV_WHEN, EV_TRACE, EV_STAGE, EV_NODE, EV_UID, EV_CHUNK, EV_EXTRA = range(7)
@@ -286,16 +281,6 @@ class FlightRecorder:
             if tid >= 0 and tid not in seen:
                 seen[tid] = None
         return list(seen)
-
-    def fork(self) -> "FlightRecorder":
-        """A fresh empty recorder with the same settings (one per shard)."""
-        return FlightRecorder(sample=self.sample, cap=self.cap)
-
-    def absorb(self, events: Iterable[FlightEvent]) -> None:
-        """Fold merged shard events (already globally ordered) in."""
-        record = self.record
-        for ev in events:
-            record(*ev)
 
 
 def event_to_dict(ev: FlightEvent) -> dict[str, Any]:

@@ -28,9 +28,9 @@ class KernelCounters:
 
     ``timers_armed``
         protocol-level (re)arm requests — exactly the number of heap
-        callbacks the old per-record ``call_at(lambda …)`` pattern
-        pushed, so ``timers_armed - timers_scheduled`` is the heap
-        garbage the per-window timer object avoids;
+        callbacks the old per-record ``schedule_callback(lambda …)``
+        pattern pushed, so ``timers_armed - timers_scheduled`` is the
+        heap garbage the per-window timer object avoids;
     ``timers_scheduled``
         heap callbacks the per-window timer actually scheduled;
     ``timer_fires``

@@ -13,8 +13,8 @@ child array.  This package implements that machinery exactly once:
 * :class:`RetransmitTimer` — one timer object per window.  It keeps at
   most **one** callback in the event heap however many records are
   outstanding, tracking per-record deadlines and lazily rescheduling,
-  where the previous per-record ``call_at(lambda …)`` pattern left a
-  dead closure in the heap for every (re)arm;
+  where the previous per-record ``schedule_callback(lambda …)`` pattern
+  left a dead closure in the heap for every (re)arm;
 * :class:`RetransmitPolicy` and its concrete strategies
   (:class:`GoBackN` for unicast, :class:`SelectiveGoBackN` for
   one-to-many windows) — what gets resent once the oldest unacked

@@ -26,9 +26,9 @@ timeout — it is the only recovery when *everything* after a point is
 lost at a child that therefore never sees evidence of a gap (e.g. a
 mid-broadcast link failure severing the subtree).
 
-Determinism under sharding: jitter draws come from the per-node named
-stream ``nack.node<id>``, consumed only by this node's suppression
-timers — identical across shard counts.
+Determinism: jitter draws come from the per-node named stream
+``nack.node<id>``, consumed only by this node's suppression timers, so
+no other node's traffic can shift them.
 """
 
 from __future__ import annotations

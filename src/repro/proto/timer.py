@@ -4,9 +4,9 @@ GM's firmware keeps *one* conceptual retransmission clock per
 connection: "if the sender times out on the oldest unacknowledged
 record, the sender will retransmit the packet, as well as all the later
 packets from the same port" (paper §4).  The repo's first implementation
-scheduled one ``call_at(lambda …)`` per record per (re)arm — every ack
-or replica refresh left a dead closure in the event heap that popped
-later, checked a generation counter, and bailed out stale.  On a lossy
+scheduled one ``schedule_callback(lambda …)`` per record per (re)arm —
+every ack or replica refresh left a dead closure in the event heap that
+popped later, checked a generation counter, and bailed out stale.  On a lossy
 multicast run >95% of timer fires were such garbage: 116 stale of 117
 fires against 1 of 2 today (``tests/proto/test_timer.py`` pins the
 counts).

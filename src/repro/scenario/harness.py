@@ -179,22 +179,6 @@ class Harness:
     def run(self) -> ScenarioResult:
         """Measure every size in the spec's measurement policy."""
         kind = self.spec.workload.kind
-        if self.spec.partition is not None and kind in (
-            "unicast", "multisend", "broadcast"
-        ):
-            # Sharded execution (repro.sim.parallel), driven through the
-            # partition glue; the serving kind handles partitioning in
-            # its registered runner.
-            from repro.scenario.partition import run_point_partitioned
-
-            return ScenarioResult(
-                spec=self.spec,
-                metric=self.spec.metric,
-                values={
-                    size: run_point_partitioned(self, size)
-                    for size in self.spec.measurement.sizes
-                },
-            )
         method = getattr(self, "_run_" + kind, None)
         if method is not None:
             values = {}

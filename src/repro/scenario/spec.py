@@ -38,9 +38,7 @@ __all__ = [
     "MeasurementSpec",
     "TelemetrySpec",
     "TrafficSpec",
-    "PartitionSpec",
     "ReliabilitySpec",
-    "PARTITIONABLE_KINDS",
     "ARRIVAL_KINDS",
     "WORKLOAD_KINDS",
     "METRIC_BY_KIND",
@@ -79,15 +77,6 @@ WORKLOAD_KINDS = (
     "unicast", "multisend", "multicast", "mpi_bcast", "mpi_skew",
     "serving", "broadcast",
 )
-
-#: Workload kinds the sharded kernel (:mod:`repro.sim.parallel`) can
-#: decompose.  The others coordinate through host-side state that is
-#: global by construction — the iterated multicast kinds share a
-#: per-round completion event across all receivers, and churn rewrites
-#: group membership on arbitrary shards mid-run.  ``broadcast`` is the
-#: one-shot multicast shape: no round barrier, so each shard just runs
-#: its local members to quiescence.
-PARTITIONABLE_KINDS = ("unicast", "multisend", "serving", "broadcast")
 
 #: Arrival processes a :class:`TrafficSpec` can declare.
 ARRIVAL_KINDS = ("poisson", "trace")
@@ -479,50 +468,6 @@ class TrafficSpec:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Sharded-kernel execution request (:mod:`repro.sim.parallel`).
-
-    ``shards`` simulators run the scenario conservatively in parallel;
-    ``partitioner`` assigns nodes to shards (``"contiguous"`` id ranges
-    or ``"switch_affine"``, which keeps each leaf switch's NICs
-    together — fewer cut links, so less handoff traffic); ``seed``
-    deterministically varies the switch-affine placement order.  The
-    shards run in one process, one safe window after another.
-    """
-
-    shards: int = 2
-    partitioner: str = "switch_affine"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        from repro.sim.parallel import PARTITIONERS
-
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.partitioner not in PARTITIONERS:
-            raise ConfigError(
-                f"unknown partitioner {self.partitioner!r}; "
-                f"pick one of {PARTITIONERS}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "shards": self.shards,
-            "partitioner": self.partitioner,
-        }
-        if self.seed:
-            out["seed"] = self.seed
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PartitionSpec":
-        _unknown_keys(data, cls, "partition spec")
-        return cls(**data)
-
-
 #: Workload kinds that drive the multicast reliability stack (a
 #: ``reliability`` section is meaningless for unicast / MPI kinds).
 _RELIABILITY_KINDS = ("multisend", "multicast", "serving", "broadcast")
@@ -621,7 +566,6 @@ class ScenarioSpec:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     traffic: TrafficSpec | None = None
-    partition: PartitionSpec | None = None
     reliability: ReliabilitySpec | None = None
     name: str = ""
 
@@ -669,27 +613,6 @@ class ScenarioSpec:
                 f"a 'reliability' section requires a multicast workload "
                 f"kind ({', '.join(_RELIABILITY_KINDS)}), got {w.kind!r}"
             )
-        p = self.partition
-        if p is not None:
-            if w.kind not in PARTITIONABLE_KINDS:
-                raise ConfigError(
-                    f"workload kind {w.kind!r} cannot run partitioned "
-                    f"(decomposable kinds: {PARTITIONABLE_KINDS})"
-                )
-            if (
-                w.kind == "serving"
-                and self.traffic is not None
-                and self.traffic.churn_interval_us
-            ):
-                raise ConfigError(
-                    "membership churn cannot run partitioned (churn "
-                    "rewrites group tables across shard boundaries)"
-                )
-            if p.shards > n:
-                raise ConfigError(
-                    f"{p.shards} shards cannot all be non-empty with "
-                    f"{n} nodes"
-                )
 
     @property
     def metric(self) -> str:
@@ -713,8 +636,6 @@ class ScenarioSpec:
         out["measurement"] = self.measurement.to_dict()
         if self.traffic is not None:
             out["traffic"] = self.traffic.to_dict()
-        if self.partition is not None:
-            out["partition"] = self.partition.to_dict()
         if self.reliability is not None:
             out["reliability"] = self.reliability.to_dict()
         return out
@@ -735,8 +656,6 @@ class ScenarioSpec:
             )
         if data.get("traffic") is not None:
             kwargs["traffic"] = TrafficSpec.from_dict(data["traffic"])
-        if data.get("partition") is not None:
-            kwargs["partition"] = PartitionSpec.from_dict(data["partition"])
         if data.get("reliability") is not None:
             kwargs["reliability"] = ReliabilitySpec.from_dict(
                 data["reliability"]

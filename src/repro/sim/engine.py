@@ -2,8 +2,8 @@
 
 Kernel v2: the heap holds two kinds of entries — :class:`SimEvent`
 objects and :class:`_Callback` cells (raw callables recycled through a
-freelist).  Timers that only need to run a function (``call_at``,
-``Link.hold_for``, retransmission timers) go through
+freelist).  Timers that only need to run a function (resource
+releases, ``Link.hold_for``, retransmission timers) go through
 :meth:`Simulator.schedule_callback` and never allocate an event; one
 dispatch loop (hoisted heap/locals, batched counter updates) serves
 every run mode, so the per-event cost is one heap pop plus the
@@ -205,8 +205,7 @@ class Simulator:
         #: recorder never touches the event queue, so attached and
         #: detached runs replay byte-identically.
         self.flight = _DEFAULT_FLIGHT
-        #: Events processed by :meth:`run`/:meth:`run_window` over this
-        #: simulator's lifetime.
+        #: Events processed by :meth:`run` over this simulator's lifetime.
         self.events_processed = 0
         # Shadow the `timeout` method with a C-level partial: one Timeout
         # is created per modelled wait, and the pure-Python wrapper frame
@@ -221,24 +220,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._now_q or self._now_uq:
-            return self._now
-        heap = self._heap
-        while self._wheel_next < _INF and (
-            not heap or self._wheel_next <= heap[0][0]
-        ):
-            self._flush_wheel(self._wheel_next)
-        while heap:
-            entry = heap[0]
-            if entry[3].__class__ is _TimerHandle and entry[3].cancelled:
-                heapq.heappop(heap)
-                KERNEL_COUNTERS.wheel_skipped += 1
-                continue
-            return entry[0]
-        return _INF
 
     def __repr__(self) -> str:
         queued = (
@@ -319,12 +300,6 @@ class Simulator:
                 self._now_uq.append(cell)
         else:
             heapq.heappush(self._heap, (when, priority, next(self._seq), cell))
-
-    def call_at(
-        self, when: float, fn: Callable[[], None], *, priority: int = NORMAL
-    ) -> None:
-        """Run ``fn()`` at absolute time *when* (>= now)."""
-        self.schedule_callback(when, fn, priority)
 
     def schedule_timer(
         self, when: float, fn: Callable[[], None], priority: int = NORMAL
@@ -444,7 +419,7 @@ class Simulator:
             if not until.processed:
                 flag: list[bool] = []
                 until.add_callback(lambda _ev: flag.append(True))
-                self._dispatch(_INF, False, flag)
+                self._dispatch(_INF, flag)
                 if not flag:
                     raise RuntimeError(
                         f"simulation ran out of events before {until!r} "
@@ -457,33 +432,10 @@ class Simulator:
         horizon = _INF if until is None else float(until)
         if horizon < self._now:
             raise ValueError(f"run(until={horizon}) is in the past")
-        self._dispatch(horizon, False, None)
+        self._dispatch(horizon, None)
         if horizon < _INF:
             self._now = horizon
         return None
-
-    def run_window(self, horizon: float) -> None:
-        """Process every event strictly *before* `horizon`, then stop.
-
-        The conservative-parallel primitive (:mod:`repro.sim.parallel`):
-        a shard granted the safe window ``[now, horizon)`` runs exactly
-        the events inside it.  Unlike :meth:`run` with a float ``until``,
-        events scheduled *at* `horizon` are left queued and the clock is
-        **not** advanced to the horizon — cross-shard messages arriving
-        at ``t >= horizon`` can still be heap-scheduled afterwards
-        (``schedule_callback`` requires ``when >= now``), and they sort
-        ahead of nothing they could have caused.
-        """
-        if self._closed:
-            raise RuntimeError("cannot run a closed simulator")
-        if horizon < self._now:
-            raise ValueError(
-                f"run_window({horizon}) is in the past (now={self._now})"
-            )
-        # Queued same-instant work is due at ``now``; only a horizon
-        # beyond it lets that work run.
-        if horizon > self._now:
-            self._dispatch(horizon, True, None)
 
     def close(self) -> None:
         """Drop all queued work and refuse to run again.
@@ -524,19 +476,15 @@ class Simulator:
             work = item = callbacks = None
         self._wheel_next = _INF
 
-    def _dispatch(
-        self, horizon: float, strict: bool, stop: list[bool] | None
-    ) -> None:
-        """The kernel's one dispatch loop, behind every :meth:`run` mode
-        and :meth:`run_window`.
+    def _dispatch(self, horizon: float, stop: list[bool] | None) -> None:
+        """The kernel's one dispatch loop, behind every :meth:`run` mode.
 
         Runs events in ``(when, priority, seq)`` order until the queue
-        drains, the next event lies past *horizon* (or at it, if
-        *strict*), or *stop* turns truthy.  *stop* is tested only after a
-        :class:`SimEvent` dispatch — the only way the callback that sets
-        it can run — so ``run(until=event)`` returns as soon as that
-        event's callbacks have run, leaving same-instant work behind it
-        queued.  Heap, queues and helpers are hoisted into locals and the
+        drains, the next event lies past *horizon*, or *stop* turns
+        truthy.  *stop* is tested only after a :class:`SimEvent`
+        dispatch — the only way the callback that sets it can run — so
+        ``run(until=event)`` returns as soon as that event's callbacks
+        have run, leaving same-instant work behind it queued.  Heap, queues and helpers are hoisted into locals and the
         lifetime counters are updated once per call, not once per event.
         """
         heap = self._heap
@@ -578,7 +526,7 @@ class Simulator:
                     if wnext <= when and wnext <= horizon:
                         self._flush_wheel(when if when < horizon else horizon)
                         continue
-                    if when >= horizon and (when > horizon or strict):
+                    if when > horizon:
                         break
                     when, _p, _s, event = pop(heap)
                     self._now = now_val = when

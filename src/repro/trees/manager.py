@@ -133,8 +133,7 @@ class TreeManager:
         retransmit window) but lose their children, each of which is
         re-attached to a live connected candidate.  Deterministic: the
         same (tree, unreachable-set) input always yields the same
-        repaired tree, which is what lets every shard of a partitioned
-        run derive the repair independently.
+        repaired tree.
         """
         cur = self.current
         node_set = set(cur.nodes)

@@ -150,23 +150,12 @@ class _Group:
 class TrafficEngine:
     """Runs one serving scenario (spec kind ``"serving"``) to completion."""
 
-    def __init__(
-        self,
-        spec: "ScenarioSpec",
-        registry: Any = None,
-        cluster: Cluster | None = None,
-    ):
+    def __init__(self, spec: "ScenarioSpec", registry: Any = None):
         if spec.traffic is None:
             raise ValueError("TrafficEngine needs a spec with traffic")
         self.spec = spec
         self.traffic: "TrafficSpec" = spec.traffic
-        # Partitioned runs inject a shard-local cluster (remote nodes
-        # are None slots) and pin group ids: shards allocate from
-        # independent process-global counters, so the id stamped into a
-        # packet must be derivable from the group index alone for every
-        # shard's table to agree.
-        self.cluster = cluster if cluster is not None else Cluster(spec.cluster)
-        self._pin_group_ids = cluster is not None
+        self.cluster = Cluster(spec.cluster)
         if registry is not None:
             self.cluster.sim.metrics = registry
         t = self.traffic
@@ -206,8 +195,6 @@ class TrafficEngine:
                 group.root, group.members, shape=scheme_spec.default_tree
             )
         group.bound = create_scheme(group.scheme_key, self.cluster, tree)
-        if self._pin_group_ids:
-            group.bound.group_id = group.index + 1
         group.bound.install()
 
     def _apply_churn(self, group: _Group) -> None:
@@ -327,29 +314,20 @@ class TrafficEngine:
 
     # -- run ---------------------------------------------------------------
     def start(self) -> None:
-        """Bind every group and spawn every (locally present) program.
-
-        On a full cluster this spawns everything; on a partitioned shard
-        ``is_local`` filters programs to the nodes this shard owns (the
-        arrival RNG streams are named per group, so a root draws the
-        same schedule whichever shard it runs on).
-        """
+        """Bind every group and spawn every program."""
         t = self.traffic
         cluster = self.cluster
         programs = self._programs
         for group in self.groups:
             self._bind(group, t.sizes[0])
         for group in self.groups:
-            if cluster.is_local(group.root):
-                programs.append(cluster.spawn(
-                    self._root_prog(group),
-                    name=f"serving_root[{group.index}]",
-                ))
+            programs.append(cluster.spawn(
+                self._root_prog(group), name=f"serving_root[{group.index}]"
+            ))
         for node_id in range(cluster.n_nodes):
-            if cluster.is_local(node_id):
-                programs.append(cluster.spawn(
-                    self._member_prog(node_id), name=f"serving_rx[{node_id}]"
-                ))
+            programs.append(cluster.spawn(
+                self._member_prog(node_id), name=f"serving_rx[{node_id}]"
+            ))
         if t.churn_interval_us:
             programs.append(
                 cluster.spawn(self._churn_prog(), name="serving_churn")
@@ -376,12 +354,11 @@ class TrafficEngine:
 
     def close(self) -> None:
         """End the programs :meth:`start` spawned (member loops wait
-        forever on their ports) and close the cluster unless injected."""
+        forever on their ports) and close the cluster."""
         for program in self._programs:
             program.close()
         self._programs.clear()
-        if not self._pin_group_ids:
-            self.cluster.close()
+        self.cluster.close()
 
 
 def run_serving(harness: "Harness") -> dict[int, ServingStats]:
@@ -391,16 +368,6 @@ def run_serving(harness: "Harness") -> dict[int, ServingStats]:
     :mod:`repro.workload` import; returns the ``values`` mapping for the
     :class:`~repro.scenario.harness.ScenarioResult` (one run, keyed 0).
     """
-    if harness.spec.partition is not None:
-        from repro.workload.partitioned import run_serving_partitioned
-
-        return {
-            0: run_serving_partitioned(
-                harness.spec,
-                registry=harness.registry,
-                flight=getattr(harness, "flight", None),
-            )
-        }
     engine = TrafficEngine(harness.spec, registry=harness.registry)
     flight = getattr(harness, "flight", None)
     if flight is not None:

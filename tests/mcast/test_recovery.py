@@ -1,6 +1,7 @@
 """Recovery-scheme invariants: exactly-once delivery, scheme behavior,
 and window drainage across a mid-broadcast link failure."""
 
+from dataclasses import replace
 from statistics import mean
 
 import pytest
@@ -11,6 +12,7 @@ from repro.experiments import fig8
 from repro.gm.params import GMCostModel
 from repro.mcast.schemes import get_scheme, resolve_scheme
 from repro.net.failure import FailureEvent, FailureSpec
+from repro.net.fault import LossSpec
 from repro.obs.registry import MetricsRegistry
 from repro.scenario import broadcast_point, run_spec
 from repro.trees import build_tree
@@ -120,6 +122,40 @@ def test_no_failures_means_no_recovery_activity():
     assert sorted(state["delivered"]) == list(range(1, N))
     for name in registry.names():
         assert not name.startswith("mcast.recovery."), name
+
+
+def _lossy_failure_broadcast():
+    """A ``tree_repair`` broadcast that loses packets to 2% Bernoulli
+    loss *and* to a mid-flight failure of node 8's NIC cable, healed
+    well before the retransmit window gives up; (point, metrics)."""
+    spec = broadcast_point(
+        N, SIZE, "tree_repair", seed=5, tree_shape="binomial",
+        failures=_victim_failure(seed=5), name="golden-failure-broadcast",
+    )
+    spec = replace(
+        spec,
+        cluster=replace(
+            spec.cluster, loss=LossSpec(kind="bernoulli", rate=0.02)
+        ),
+    )
+    registry = MetricsRegistry()
+    (point,) = run_spec(spec, registry=registry).values.values()
+    return point, registry.snapshot()
+
+
+def test_failure_broadcast_replay_identical():
+    """A given (spec, seed) replays byte-identically under loss and a
+    mid-flight link failure."""
+    first_point, first_metrics = _lossy_failure_broadcast()
+    # Full delivery despite 2% bernoulli loss and a mid-flight failure.
+    assert sorted(first_point.deliveries) == list(range(1, N))
+    assert first_point.completion_us > 0
+
+    second_point, second_metrics = _lossy_failure_broadcast()
+    assert second_point == first_point, (
+        f"replay diverged: {second_point} != {first_point}"
+    )
+    assert second_metrics == first_metrics, "metrics diverged"
 
 
 #: Recovery latency (µs) per scheme on Figure 8's fixture, as (mean,

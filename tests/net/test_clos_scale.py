@@ -1,13 +1,12 @@
 """Clos fabrics at cluster scale: 256 and 1024 nodes.
 
-The paper's testbed is 16 nodes (one crossbar); the sharded kernel
-targets the clusters that outgrow it.  These tests pin the structural
-invariants the partitioner and the parallel benchmarks rely on at that
-scale: route validity, deterministic link ordering across rebuilds, and
-shard balance.  Full ``validate()`` walks all ``n * (n - 1)`` pairs —
-tens of seconds at 256 nodes — so routing is checked on a structured
-sample instead: every pair class a two-level Clos has (same leaf,
-cross-leaf via each spine, first/last NICs).
+The paper's testbed is 16 nodes (one crossbar); these tests pin the
+structural invariants of the clusters that outgrow it: route validity
+and deterministic link ordering across rebuilds.  Full ``validate()``
+walks all ``n * (n - 1)`` pairs — tens of seconds at 256 nodes — so
+routing is checked on a structured sample instead: every pair class a
+two-level Clos has (same leaf, cross-leaf via each spine, first/last
+NICs).
 """
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from repro.errors import RoutingError
 from repro.net import clos
 from repro.sim import Simulator
-from repro.sim.parallel import PartitionPlan
 
 BW = 250.0
 LINK_LAT = 0.1
@@ -74,36 +72,15 @@ class TestClosAtScale:
     def test_link_ordering_deterministic(self, n_nodes):
         """Two builds wire identically, cable for cable, in order.
 
-        The partitioner's cut scan and the per-shard event streams both
-        iterate ``_links`` in insertion order; a nondeterministic build
-        would silently break cross-process determinism.
+        Route searches visit neighbours in cabling order; a
+        nondeterministic build would silently break cross-process
+        determinism.
         """
         a, b = build(n_nodes), build(n_nodes)
         assert list(a._links.keys()) == list(b._links.keys())
         assert [link.latency for link in a._links.values()] == [
             link.latency for link in b._links.values()
         ]
-
-    @pytest.mark.parametrize("n_shards", [2, 4, 8])
-    def test_partition_balance_at_scale(self, n_nodes, n_shards):
-        topo = build(n_nodes)
-        plan = PartitionPlan.from_topology(
-            topo, n_shards, partitioner="switch_affine"
-        )
-        sizes = plan.shard_sizes()
-        assert sum(sizes) == n_nodes
-        assert max(sizes) - min(sizes) <= 1
-        # Cut feeders exist and the lookahead is a real positive window.
-        assert plan.n_cut_links > 0
-        assert 0.0 < plan.lookahead < float("inf")
-
-    def test_partition_plan_matches_across_builds(self, n_nodes):
-        p1 = PartitionPlan.from_topology(build(n_nodes), 4)
-        p2 = PartitionPlan.from_topology(build(n_nodes), 4)
-        assert p1.node_to_shard == p2.node_to_shard
-        assert p1.switch_owner == p2.switch_owner
-        assert p1.lookahead == p2.lookahead
-        assert p1.n_cut_links == p2.n_cut_links
 
 
 def test_spine_dispersion_256():

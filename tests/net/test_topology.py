@@ -339,6 +339,40 @@ class TestRouteMemo:
         ]
         assert len({id(t) for t in preds}) == len(set(preds))
 
+    def test_cable_invalidates_route_cache(self):
+        _, topo = make_topo("line", 6, nodes_per_switch=2)
+        before = topo.route(0, 5)
+        hops_before = len(before)
+        topo.cable(("switch", 0), ("switch", 2))
+        after = topo.route(0, 5)
+        assert after is not before
+        assert len(after) < hops_before  # the shortcut is used
+
+    def test_network_route_cache_follows_version(self):
+        sim, topo = make_topo("line", 6, nodes_per_switch=2)
+        net = Network(sim, topo)
+        delivered = []
+        for nic in range(6):
+            net.attach(nic, delivered.append)
+
+        def send():
+            net.inject(Packet(header=PacketHeader(
+                ptype=PacketType.DATA, src=0, dst=5, origin=0, payload=8,
+            )))
+
+        send()
+        before = net._routes[(0, 5)]
+        version = topo.version
+        topo.cable(("switch", 0), ("switch", 2))
+        assert topo.version > version
+        assert (0, 5) not in net._routes  # the next lookup misses...
+        send()
+        after = net._routes[(0, 5)]
+        assert len(after) < len(before)  # ...and takes the shortcut
+        assert after == topo.route(0, 5)
+        sim.run()
+        assert len(delivered) == 2
+
     def test_second_cable_at_a_nic_rejected(self):
         _, topo = make_topo("clos", 32)
         version = topo.version

@@ -63,7 +63,7 @@ def test_blocking_acquire_fifo():
 
     sim.process(waiter("first"))
     sim.process(waiter("second"))
-    sim.call_at(5.0, held.release)
+    sim.schedule_callback(5.0, held.release)
     sim.run()
     assert order == ["first", "second"]
 

@@ -1,4 +1,4 @@
-"""Critical-path acceptance: reconciliation, recovery gaps, shard merge.
+"""Critical-path acceptance: reconciliation and recovery gaps.
 
 The fig8-style pinned scenario here is the committed
 ``examples/scenarios/clos_failures_selfheal.json`` workload: a 64-node
@@ -9,9 +9,7 @@ replays the message.  The acceptance bars:
 * every destination's six segment sums reconcile with the harness's
   measured delivery time to < 1us;
 * ``recovery_gap`` is non-zero exactly for the failure-affected
-  (replayed) destinations;
-* the per-destination breakdown is identical at 2 and 4 shards
-  (trace ids are per-origin, so sharding cannot renumber them).
+  (replayed) destinations.
 """
 
 import json
@@ -36,11 +34,10 @@ SPEC_PATH = (
 )
 
 
-def _run_clos(shards: int):
+@pytest.fixture(scope="module")
+def clos():
     """One flight-recorded run of the pinned failure scenario."""
-    raw = json.loads(SPEC_PATH.read_text())
-    raw["partition"]["shards"] = shards
-    spec = ScenarioSpec.from_dict(raw)
+    spec = ScenarioSpec.from_json(SPEC_PATH.read_text())
     flight = FlightRecorder(sample=1.0)
     result = Harness(
         spec, registry=MetricsRegistry(), flight=flight
@@ -49,13 +46,8 @@ def _run_clos(shards: int):
     return result.values[size], critical_paths(flight.events)
 
 
-@pytest.fixture(scope="module")
-def clos2():
-    return _run_clos(2)
-
-
-def test_segment_sums_reconcile_within_1us(clos2):
-    broadcast, paths = clos2
+def test_segment_sums_reconcile_within_1us(clos):
+    broadcast, paths = clos
     assert len(paths) == 1
     cp = paths[0]
     assert len(cp.destinations) == len(broadcast.deliveries) == 63
@@ -72,8 +64,8 @@ def test_segment_sums_reconcile_within_1us(clos2):
         )
 
 
-def test_recovery_gap_only_for_replayed_destinations(clos2):
-    _broadcast, paths = clos2
+def test_recovery_gap_only_for_replayed_destinations(clos):
+    _broadcast, paths = clos
     cp = paths[0]
     replayed = {d for d, p in cp.destinations.items() if p.replayed}
     assert replayed, "the pinned scenario must exercise replay"
@@ -91,33 +83,8 @@ def test_recovery_gap_only_for_replayed_destinations(clos2):
     )
 
 
-def _comparable(paths):
-    """The uid-free shape of a breakdown (uids vary across shard counts)."""
-    return [
-        {
-            "trace_id": cp.trace_id,
-            "origin": cp.origin,
-            "destinations": {
-                dest: (
-                    round(p.delivery_us, 9),
-                    {s: round(v, 9) for s, v in p.segments.items()},
-                    p.hops, p.retransmits, p.replayed, p.exact,
-                )
-                for dest, p in cp.destinations.items()
-            },
-        }
-        for cp in paths
-    ]
-
-
-def test_breakdown_identical_at_2_and_4_shards(clos2):
-    _b2, paths2 = clos2
-    _b4, paths4 = _run_clos(4)
-    assert _comparable(paths2) == _comparable(paths4)
-
-
-def test_render_and_dict_shapes(clos2):
-    _broadcast, paths = clos2
+def test_render_and_dict_shapes(clos):
+    _broadcast, paths = clos
     cp = paths[0]
     text = render_critical_path(cp)
     assert "critical path: trace" in text

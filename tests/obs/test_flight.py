@@ -21,7 +21,7 @@ import hashlib
 import struct
 import tracemalloc
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -109,20 +109,6 @@ class ListFlightRecorder:
                 seen[tid] = None
         return list(seen)
 
-    def fork(self) -> "ListFlightRecorder":
-        return ListFlightRecorder(sample=self.sample, cap=self.cap)
-
-    def absorb(self, events: Iterable[FlightEvent]) -> None:
-        for ev in events:
-            ev_t = tuple(ev)
-            evs = self._events
-            if len(evs) < self.cap:
-                evs.append(ev_t)
-            else:
-                evs[self._write % self.cap] = ev_t
-                self.dropped += 1
-            self._write += 1
-
 
 # -- unit behavior ----------------------------------------------------------
 
@@ -158,15 +144,6 @@ def test_ring_overwrites_oldest_and_reorders_on_read():
         fr.record(float(i), 0, "tx", node=0, uid=i)
     assert fr.dropped == 2
     assert [ev[4] for ev in fr.events] == [2, 3, 4, 5]
-
-
-def test_fork_absorb_roundtrip():
-    fr = FlightRecorder(sample=0.5, cap=128)
-    shard = fr.fork()
-    assert (shard.sample, shard.cap) == (0.5, 128)
-    shard.record(1.0, 7, "deliver", node=2, uid=9)
-    fr.absorb(shard.events)
-    assert len(fr) == 1 and fr.events[0][EV_TRACE] == 7
 
 
 def test_event_to_dict_and_gauge_series():
@@ -308,21 +285,12 @@ def _assert_same(packed: FlightRecorder, ref: ListFlightRecorder) -> None:
     sample=st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.0, 1.0),
     cap=st.integers(1, 8) | st.integers(1, 100),
     ops=st.lists(_OP, max_size=40),
-    shard_ops=st.none() | st.lists(_OP, max_size=20),
 )
-def test_packed_ring_matches_reference(sample, cap, ops, shard_ops):
+def test_packed_ring_matches_reference(sample, cap, ops):
     packed = FlightRecorder(sample=sample, cap=cap)
     ref = ListFlightRecorder(sample=sample, cap=cap)
     assert _replay(packed, ops) == _replay(ref, ops)
     _assert_same(packed, ref)
-    if shard_ops is not None:
-        shard, ref_shard = packed.fork(), ref.fork()
-        assert (shard.sample, shard.cap, len(shard)) == (sample, cap, 0)
-        assert _replay(shard, shard_ops) == _replay(ref_shard, shard_ops)
-        _assert_same(shard, ref_shard)
-        packed.absorb(shard.events)
-        ref.absorb(ref_shard.events)
-        _assert_same(packed, ref)
 
 
 # -- memory per stored event ------------------------------------------------
@@ -448,8 +416,7 @@ def golden_flight_lines():
 
     The ``repr`` of every event of the golden 8-node multicast at full
     sampling, then the event count and sha256 of the ``repr`` of the
-    event list for the fig8-shaped self-healing scenario at its two
-    shards (which folds per-shard recorders back with ``absorb``).
+    event list for the fig8-shaped self-healing scenario.
     """
     import repro.workload  # noqa: F401  (registers the serving runner)
     from repro.scenario import ScenarioSpec
@@ -464,8 +431,7 @@ def golden_flight_lines():
     Harness(spec, flight=fr).run()
     events = canonical_events(fr.events)
     digest = hashlib.sha256(repr(events).encode()).hexdigest()
-    lines.append(f"{spec.name} shards={spec.partition.shards} "
-                 f"events={len(events)} sha256={digest}")
+    lines.append(f"{spec.name} events={len(events)} sha256={digest}")
     return lines
 
 

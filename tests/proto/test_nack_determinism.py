@@ -1,21 +1,15 @@
 """Determinism and suppression proofs for the NACK reliability family.
 
-Two bars, mirroring the parallel-determinism matrix the kernel is held
-to (``tests/sim/test_parallel_golden.py``):
+Two bars:
 
-* **Sharded byte-identity** — the same (spec, seed) with a
+* **Replay byte-identity** — the same (spec, seed) with a
   destination-qualified scripted drop replays the exact same event
-  trace, NACK emissions included (every ``mcast_nack`` record: same
-  node, same instant, same gap list), serially and at 2 and 4 shards.
-  Jitter draws come from per-node named RNG streams, so shard count
-  must not move a single NACK.
+  trace.  Jitter draws come from per-node named RNG streams.
 * **Suppression collapse** — a packet dropped on the link into a
   16-node subtree of a 64-receiver fan-out opens the same gap at every
   descendant; the jittered suppression timers plus the cascading repair
   must collapse that to a handful of NACKs, not one per receiver.
 """
-
-import pytest
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
@@ -24,7 +18,6 @@ from repro.mcast.manager import install_group
 from repro.net.fault import ScriptedLoss
 from repro.net.packet import PacketType
 from repro.obs.registry import MetricsRegistry
-from repro.sim.parallel import PartitionPlan, ShardSet, merge_traces
 from repro.trees import build_tree
 
 N = 16
@@ -35,8 +28,7 @@ VICTIM_DST, VICTIM_SEQ = 8, 2
 
 
 def _qualified_loss(dst=VICTIM_DST, seq=VICTIM_SEQ):
-    """One scripted drop, destination-qualified so that per-shard loss
-    instances fire identically wherever the victim link lives."""
+    """One scripted drop: seq *seq*'s copy on the link into node *dst*."""
     return ScriptedLoss(
         lambda pkt: pkt.header.ptype is PacketType.MCAST_DATA
         and pkt.header.seq == seq
@@ -57,18 +49,16 @@ def _programs(cluster, n):
         yield from port.receive()
         yield from port.provide_receive_buffer()
 
-    if cluster.is_local(0):
-        cluster.spawn(root())
+    cluster.spawn(root())
     for i in range(1, n):
-        if cluster.is_local(i):
-            cluster.spawn(member(i))
+        cluster.spawn(member(i))
 
 
 def _render(records):
     """Render trace records with process-global ids (packet uids,
-    message ids) stripped: those allocators number by execution order,
-    which legitimately differs between serial and sharded runs.  The
-    remaining fields pin each event's node, instant, and payload."""
+    message ids) stripped: those allocators keep counting across runs
+    in one process.  The remaining fields pin each event's node,
+    instant, and payload."""
     lines = []
     for rec in records:
         fields = {
@@ -98,60 +88,12 @@ def _serial_lines(family="nack"):
     return _render(_serial_run(family=family).sim.trace.records)
 
 
-def _partitioned_lines(n_shards, family="nack"):
-    cost = GMCostModel()
-    cfg = ClusterConfig(n_nodes=N, cost=cost, seed=0, trace=True)
-    plan = PartitionPlan.from_topology(
-        Cluster(cfg).topology, n_shards, partitioner="contiguous"
-    )
-    tree = build_tree(0, list(range(1, N)), shape="binomial")
-    shards = []
-    for sid in range(n_shards):
-        cluster = Cluster(
-            cfg, loss=_qualified_loss(), local_nodes=plan.shard_nodes(sid)
-        )
-        plan.bind(cluster.topology)
-        install_group(cluster, 1, tree, family=family)
-        _programs(cluster, N)
-        shards.append(cluster)
-    conductor = ShardSet(
-        plan, [c.sim for c in shards], [c.network for c in shards]
-    )
-    conductor.run()
-    dropped = sum(c.network.dropped for c in shards)
-    assert dropped == 1, f"expected exactly one forced drop, got {dropped}"
-    return _render(merge_traces(c.sim for c in shards))
-
-
-def _nack_lines(lines):
-    return [line for line in lines if " mcast_nack " in line]
-
-
 def test_serial_run_emits_and_recovers():
     """The scripted drop produces at least one NACK and full delivery."""
     registry = MetricsRegistry()
     _serial_run(registry=registry)
     assert registry.value("proto.nack_sent", 0) >= 1
     assert registry.value("proto.nack_repairs", 0) >= 1
-
-
-@pytest.mark.parametrize("n_shards", [2, 4])
-def test_sharded_nack_emission_byte_identical(n_shards):
-    """Same (spec, seed): every NACK emission — node, instant, gap
-    list — must be byte-identical between serial and sharded runs, and
-    the full event trace must agree as a multiset (same-time records on
-    different shards merge in a different but equally-legal tie order,
-    so full-trace *ordering* is not promised across shard counts)."""
-    serial = _serial_lines()
-    sharded = _partitioned_lines(n_shards)
-    nacks = _nack_lines(serial)
-    assert nacks, "scripted drop produced no NACK records"
-    assert nacks == _nack_lines(sharded), (
-        f"{n_shards}-shard NACK emission diverged from serial"
-    )
-    assert sorted(serial) == sorted(sharded), (
-        f"{n_shards}-shard event multiset diverged from serial"
-    )
 
 
 def test_serial_replay_identical_nack_fec():

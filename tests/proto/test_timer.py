@@ -177,8 +177,9 @@ def test_defuse_is_a_noop_with_records_outstanding():
 
 
 #: Timer churn of :func:`test_timer_churn_counts_are_exact`'s workload
-#: under the per-record ``call_at(lambda …)`` timers this module
-#: replaced: one heap callback per (re)arm, generation-checked at pop.
+#: under the per-record ``schedule_callback(lambda …)`` timers this
+#: module replaced: one heap callback per (re)arm, generation-checked at
+#: pop.
 PER_RECORD_TIMERS = {"heap_callbacks": 141, "fires": 117, "stale_fires": 116}
 
 

@@ -190,6 +190,8 @@ def test_cross_validation_against_cluster():
          "cluster"),
         ('{"cluster": {"n_nodes": 4}}', "workload"),
         ("{not json", "not valid JSON"),
+        ('{"workload": {"kind": "multisend"}, "partition": {"shards": 2}}',
+         "partition"),
     ],
 )
 def test_unknown_keys_and_bad_json_rejected(payload, match):

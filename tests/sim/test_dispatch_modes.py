@@ -1,13 +1,13 @@
 """Every run mode dispatches the same schedule.
 
-``run()``, ``run(until=t)``, ``run(until=event)`` and ``run_window(h)``
-share the kernel's one dispatch loop.  Stopping and resuming it at any
-horizon or event must not change what runs or in which order.  Random
-schedules mix timeouts, bare callbacks at both priorities, wheel timers
-at every wheel level (some cancelled before their slot flushes, some
-after) and same-instant ``succeed`` cascades.  Each schedule runs to
-quiescence four ways, and every way must log the same ``(tag, time)``
-dispatches as a plain ``run()``.  Each stop must also leave exactly the
+``run()``, ``run(until=t)`` and ``run(until=event)`` share the
+kernel's one dispatch loop.  Stopping and resuming it at any horizon or
+event must not change what runs or in which order.  Random schedules
+mix timeouts, bare callbacks at both priorities, wheel timers at every
+wheel level (some cancelled before their slot flushes, some after) and
+same-instant ``succeed`` cascades.  Each schedule runs to quiescence
+three ways, and every way must log the same ``(tag, time)`` dispatches
+as a plain ``run()``.  Each stop must also leave exactly the
 expected prefix of that log behind.
 """
 
@@ -113,8 +113,7 @@ def test_every_run_mode_dispatches_the_same_schedule(roots, data):
     ref.sim.run()
     expected = ref.log
     times = sorted({t for _tag, t in expected})
-    # Horizons hit event times exactly (inclusive vs strict) or fall
-    # between and beyond them.
+    # Horizons hit event times exactly or fall between and beyond them.
     horizon_grid = sorted(set(times) | {0.5, 63.0, 4097.0, 1e6})
     horizons = sorted(
         data.draw(st.lists(st.sampled_from(horizon_grid), max_size=4))
@@ -126,12 +125,6 @@ def test_every_run_mode_dispatches_the_same_schedule(roots, data):
         assert by_time.log == [e for e in expected if e[1] <= h], h
         assert by_time.sim.now == h
     by_time.sim.run()
-
-    by_window = _Schedule(roots)
-    for h in horizons:
-        by_window.sim.run_window(h)
-        assert by_window.log == [e for e in expected if e[1] < h], h
-    by_window.sim.run()
 
     by_event = _Schedule(roots)
     position = {tag: i for i, (tag, _t) in enumerate(expected)}
@@ -159,6 +152,6 @@ def test_every_run_mode_dispatches_the_same_schedule(roots, data):
             assert by_event.log == expected
     by_event.sim.run()
 
-    for mode in (by_time, by_window, by_event):
+    for mode in (by_time, by_event):
         assert mode.log == expected
         assert mode.sim.events_processed == ref.sim.events_processed

@@ -136,7 +136,7 @@ def test_rng_different_seeds_differ():
 def test_call_at():
     sim = Simulator()
     out = []
-    sim.call_at(7.5, lambda: out.append(sim.now))
+    sim.schedule_callback(7.5, lambda: out.append(sim.now))
     sim.run()
     assert out == [7.5]
 
@@ -145,15 +145,7 @@ def test_call_at_past_raises():
     sim = Simulator()
     sim.run(until=10.0)
     with pytest.raises(ValueError):
-        sim.call_at(5.0, lambda: None)
-
-
-def test_peek():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(4.0)
-    sim.timeout(2.0)
-    assert sim.peek() == 2.0
+        sim.schedule_callback(5.0, lambda: None)
 
 
 def test_run_until_event_from_other_source():
@@ -180,44 +172,28 @@ def test_run_until_failed_event_raises_its_exception():
         sim.run(until=ev)
 
 
-def test_run_window_at_now_leaves_same_instant_work_queued():
-    sim = Simulator()
-    fired = []
-    sim.timeout(0.0).add_callback(lambda _e: fired.append(sim.now))
-    sim.run_window(0.0)
-    assert fired == []
-    sim.run_window(1.0)
-    assert fired == [0.0]
-
-
-#: Both infinite-horizon calls, on a queue holding a timeout, a live
-#: wheel timer and a cancelled one; prints what fired and the clocks.
+#: An infinite-horizon run on a queue holding a timeout, a live wheel
+#: timer and a cancelled one; prints what fired and the clocks.
 INFINITE_HORIZONS = r"""
 import json, math
 from repro.sim import Simulator
 
-result = {}
-for mode in ("run", "run_window"):
-    sim = Simulator()
-    fired = []
-    sim.timeout(5.0).add_callback(lambda _e: fired.append(sim.now))
-    sim.schedule_timer(300.0, lambda: fired.append(sim.now))
-    sim.schedule_timer(9000.0, lambda: fired.append(sim.now)).cancel()
-    if mode == "run":
-        sim.run(until=math.inf)
-    else:
-        sim.run_window(math.inf)
-    drained = sim.now
-    sim.run(until=sim.timeout(1.0))
-    result[mode] = {"fired": fired, "drained": drained, "later": sim.now}
-print(json.dumps(result))
+sim = Simulator()
+fired = []
+sim.timeout(5.0).add_callback(lambda _e: fired.append(sim.now))
+sim.schedule_timer(300.0, lambda: fired.append(sim.now))
+sim.schedule_timer(9000.0, lambda: fired.append(sim.now)).cancel()
+sim.run(until=math.inf)
+drained = sim.now
+sim.run(until=sim.timeout(1.0))
+print(json.dumps({"fired": fired, "drained": drained, "later": sim.now}))
 """
 
 
 def test_infinite_horizons_drain_and_return():
-    """``run(until=inf)`` and ``run_window(inf)`` drain the queue, return,
-    and leave the clock at the last event.  Runs in a child process, so
-    a loop that never exits fails the test instead of hanging it."""
+    """``run(until=inf)`` drains the queue, returns, and leaves the
+    clock at the last event.  Runs in a child process, so a loop that
+    never exits fails the test instead of hanging it."""
     src = Path(__file__).resolve().parents[2] / "src"
     out = subprocess.run(
         [sys.executable, "-c", INFINITE_HORIZONS],
@@ -226,7 +202,7 @@ def test_infinite_horizons_drain_and_return():
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
     expected = {"fired": [5.0, 300.0], "drained": 300.0, "later": 301.0}
-    assert result == {"run": expected, "run_window": expected}
+    assert result == expected
 
 
 def test_closed_simulator_refuses_to_run():
@@ -238,7 +214,6 @@ def test_closed_simulator_refuses_to_run():
         sim.run,
         lambda: sim.run(until=10.0),
         lambda: sim.run(until=until),
-        lambda: sim.run_window(10.0),
     ):
         with pytest.raises(RuntimeError, match="closed simulator"):
             run()
@@ -260,7 +235,7 @@ def test_close_drops_queued_work_and_ends_waiting_processes():
     holder = sim.process(user("holder"))
     waiter = sim.process(user("waiter"))
     timer = sim.schedule_timer(500.0, lambda: log.append("timer"))
-    sim.call_at(20.0, lambda: log.append("callback"))
+    sim.schedule_callback(20.0, lambda: log.append("callback"))
     sim.run(until=1.0)
     assert res.in_use == 1 and res.queue_length == 1
     sim.close()

@@ -1,6 +1,6 @@
 """Regression tests for the kernel fast-path changes.
 
-Covers the ``call_at`` priority fix, Condition loser-callback detachment,
+Covers the ``schedule_callback`` priority fix, Condition loser-callback detachment,
 trace-disabled recording, and the processed-event counter.
 """
 
@@ -14,8 +14,12 @@ def test_call_at_priority_ordered_at_same_instant():
     """URGENT beats NORMAL at the same instant, regardless of insertion."""
     sim = Simulator()
     order = []
-    sim.call_at(5.0, lambda: order.append("normal"), priority=NORMAL)
-    sim.call_at(5.0, lambda: order.append("urgent"), priority=URGENT)
+    sim.schedule_callback(
+        5.0, lambda: order.append("normal"), priority=NORMAL
+    )
+    sim.schedule_callback(
+        5.0, lambda: order.append("urgent"), priority=URGENT
+    )
     sim.run()
     assert order == ["urgent", "normal"]
     assert sim.now == 5.0
@@ -26,9 +30,11 @@ def test_call_at_priority_kwarg_not_silently_dropped():
     at NORMAL, so two same-instant callbacks ran in insertion order."""
     sim = Simulator()
     order = []
-    sim.call_at(1.0, lambda: order.append("first-normal"))
-    sim.call_at(1.0, lambda: order.append("late-urgent"), priority=URGENT)
-    sim.call_at(1.0, lambda: order.append("second-normal"))
+    sim.schedule_callback(1.0, lambda: order.append("first-normal"))
+    sim.schedule_callback(
+        1.0, lambda: order.append("late-urgent"), priority=URGENT
+    )
+    sim.schedule_callback(1.0, lambda: order.append("second-normal"))
     sim.run()
     assert order == ["late-urgent", "first-normal", "second-normal"]
 
@@ -39,7 +45,7 @@ def test_call_at_exact_absolute_time():
     seen = []
     # now + (when - now) float round-trips are gone: the callback fires
     # at exactly the requested instant.
-    sim.call_at(0.7, lambda: seen.append(sim.now))
+    sim.schedule_callback(0.7, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [0.7]
 
@@ -48,7 +54,7 @@ def test_call_at_past_still_raises():
     sim = Simulator()
     sim.run(until=10.0)
     with pytest.raises(ValueError):
-        sim.call_at(5.0, lambda: None)
+        sim.schedule_callback(5.0, lambda: None)
 
 
 def test_anyof_detaches_loser_callbacks():

@@ -1,8 +1,13 @@
-"""Serving-workload tests: determinism, stats, churn, obs integration."""
+"""Serving-workload tests: determinism, stats, churn, obs integration,
+and a 256-node run pinned against its fixture."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 import repro.workload  # noqa: F401  (registers the serving runner)
+from repro.gm.params import GMCostModel
 from repro.obs.health import serving_section
 from repro.obs.registry import MetricsRegistry
 from repro.scenario import Harness, TrafficSpec, serving_point
@@ -88,3 +93,64 @@ def test_trace_arrivals_replay_exactly():
     assert stats.per_group[0].posted == 2
     assert stats.per_group[1].posted == 1
     assert stats.per_group[2].posted == 0
+
+
+# ---------------------------------------------------------------------------
+# 256-node long-cable serving: a two-level Clos, 96 groups over all four
+# schemes.  Every count and reported quantile is pinned in
+# ``golden_clos256_serving.json``; the fixture leaves out ``sim_events``
+# and the per-group mean and max delivery times.
+# ---------------------------------------------------------------------------
+
+CLOS256_FIXTURE = Path(__file__).with_name("golden_clos256_serving.json")
+
+
+def _clos256_snapshot():
+    """The serving snapshot of the 256-node long-cable spec."""
+    spec = serving_point(
+        n_nodes=256,
+        traffic=TrafficSpec(
+            duration_us=10_000.0,
+            n_groups=96,
+            group_size=6,
+            rate_per_group=1 / 500.0,
+            sizes=(8_192, 32_768),
+            schemes=(
+                "nic_based", "nic_multisend", "host_based", "nic_assisted",
+            ),
+            churn_interval_us=0.0,
+            warmup_us=1_000.0,
+        ),
+        cost=GMCostModel(link_latency=4.0, switch_hop_latency=6.0),
+        seed=23,
+        name="clos256-long-cable-serving",
+    )
+    return Harness(spec).run().values[0].snapshot()
+
+
+def _pinned_view(snap):
+    """*snap* without what the fixture leaves out, as its JSON form."""
+    view = {k: v for k, v in snap.items() if k != "sim_events"}
+    view["per_group"] = {
+        gid: {
+            k: v
+            for k, v in group.items()
+            if k not in ("mean_delivery_us", "max_delivery_us")
+        }
+        for gid, group in snap["per_group"].items()
+    }
+    return json.loads(json.dumps(view))
+
+
+def test_clos256_serving_counts_and_quantiles_match_fixture():
+    expected = json.loads(CLOS256_FIXTURE.read_text())
+    assert expected["msgs_delivered"] > 0
+    assert _pinned_view(_clos256_snapshot()) == expected
+
+
+if __name__ == "__main__":  # fixture regeneration entry point
+    CLOS256_FIXTURE.write_text(
+        json.dumps(_pinned_view(_clos256_snapshot()), indent=1,
+                   sort_keys=True) + "\n"
+    )
+    print(f"wrote {CLOS256_FIXTURE}")

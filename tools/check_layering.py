@@ -65,17 +65,6 @@ SRC = REPO / "src" / "repro"
 ALLOWED = {
     "perf": ("repro.perf",),
     "sim": ("repro.sim", "repro.perf.counters", "repro.perf"),
-    # Per-module exception: the conservative-parallel conductor
-    # partitions Topology/Network state, so it may reach one layer up
-    # into repro.net (and the shared error types) — but nothing higher;
-    # scenario binds it via PartitionSpec, not an import back-edge.
-    "sim/parallel.py": (
-        "repro.sim",
-        "repro.net",
-        "repro.errors",
-        "repro.perf.counters",
-        "repro.perf",
-    ),
     "proto": (
         "repro.proto",
         "repro.sim",
@@ -285,20 +274,7 @@ def runtime_imports(tree: ast.Module) -> list[tuple[int, str]]:
 
 def check_package(package: str, allowed: tuple[str, ...]) -> list[str]:
     violations = []
-    target = SRC / package
-    if target.suffix == ".py":
-        # A single-module exception entry (e.g. ``sim/parallel.py``).
-        paths = [target]
-    else:
-        # Modules with their own ALLOWED entry are checked under that
-        # entry's (usually wider) bounds, not the package's.
-        exceptions = {
-            SRC / key for key in ALLOWED if (SRC / key).suffix == ".py"
-        }
-        paths = [
-            p for p in sorted(target.rglob("*.py")) if p not in exceptions
-        ]
-    for path in paths:
+    for path in sorted((SRC / package).rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for lineno, module in runtime_imports(tree):
             if not (module == "repro" or module.startswith("repro.")):
