@@ -50,13 +50,18 @@ def failure_spec(
     """*n_failures* staggered interior-NIC-link outages, each healed."""
     if n_failures == 0:
         return None
+    sim = Simulator()
     topo = build_topology(
-        Simulator(),
+        sim,
         ClusterConfig(n_nodes=NODES, cost=cost, seed=seed, topology="clos"),
     )
+    try:
+        cables = [topo.nic_cable_index(v) for v in VICTIMS[:n_failures]]
+    finally:  # the fabric was built only to look the cables up
+        topo.close()
+        sim.close()
     events = []
-    for k, victim in enumerate(VICTIMS[:n_failures]):
-        cable = topo.nic_cable_index(victim)
+    for k, cable in enumerate(cables):
         events.append(
             FailureEvent(DOWN_AT + STAGGER * k, "link_down", cable)
         )

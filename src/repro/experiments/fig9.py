@@ -70,11 +70,16 @@ def _loss(rate: float) -> LossSpec | None:
 
 def _failure(n: int, cost: GMCostModel) -> FailureSpec:
     """One interior link severed mid-broadcast, healed at UP_AT."""
+    sim = Simulator()
     topo = build_topology(
-        Simulator(),
+        sim,
         ClusterConfig(n_nodes=n, cost=cost, seed=SEED, topology="clos"),
     )
-    cable = topo.nic_cable_index(n // 2)  # root's widest-subtree child
+    try:
+        cable = topo.nic_cable_index(n // 2)  # root's widest-subtree child
+    finally:  # the fabric was built only to look the cable up
+        topo.close()
+        sim.close()
     return FailureSpec(kind="scheduled", events=(
         FailureEvent(DOWN_AT, "link_down", cable),
         FailureEvent(UP_AT, "link_up", cable),

@@ -287,11 +287,8 @@ class GMEngine:
                 )
             )
         if fr is not None:
-            fr.record(
-                self.sim.now, -1, "gauge", self.nic.id, -1, 0,
-                {"name": "proto.send_window_depth",
-                 "value": len(conn.records)},
-            )
+            fr.gauge(self.sim.now, self.nic.id, "proto.send_window_depth",
+                     len(conn.records))
         token.all_packets_sent = True
         self._maybe_complete(token)
 
@@ -387,11 +384,8 @@ class GMEngine:
             token.unacked_packets -= 1
             self._maybe_complete(token)
         if fr is not None and acked:
-            fr.record(
-                self.sim.now, -1, "gauge", self.nic.id, -1, 0,
-                {"name": "proto.send_window_depth",
-                 "value": len(conn.records)},
-            )
+            fr.gauge(self.sim.now, self.nic.id, "proto.send_window_depth",
+                     len(conn.records))
         conn.timer.defuse()
 
     def _maybe_complete(self, token: SendToken) -> None:

@@ -147,11 +147,8 @@ class NIC:
                 m.set_gauge("nic.recv_buffers_in_use", self.recv_buffers.in_use)
             fr = self.sim.flight
             if fr is not None:
-                fr.record(
-                    self.sim.now, -1, "gauge", self.id, -1, 0,
-                    {"name": "nic.recv_buffers_in_use",
-                     "value": self.recv_buffers.in_use},
-                )
+                fr.gauge(self.sim.now, self.id, "nic.recv_buffers_in_use",
+                         self.recv_buffers.in_use)
             self.rx_queue.put((packet, buf))
         else:
             self.rx_queue.put((packet, None))
@@ -244,11 +241,8 @@ class NIC:
                 )
             fr = sim.flight
             if fr is not None:
-                fr.record(
-                    sim._now, -1, "gauge", nic_id, -1, 0,
-                    {"name": "nic.send_buffers_in_use",
-                     "value": self.send_buffers.in_use},
-                )
+                fr.gauge(sim._now, nic_id, "nic.send_buffers_in_use",
+                         self.send_buffers.in_use)
             if trace.enabled:
                 sim.record(
                     self.name, "tx_done", uid=pkt.uid, dst=pkt.dst,

@@ -35,6 +35,7 @@ non-zero only for destinations whose delivering chain contains a replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -78,7 +79,9 @@ class DestinationPath:
 
     @property
     def segment_sum(self) -> float:
-        return sum(self.segments.values())
+        # Correctly rounded, so the sum is the same on every Python
+        # (3.12's builtin ``sum`` compensates, 3.10's and 3.11's do not).
+        return math.fsum(self.segments.values())
 
 
 @dataclass

@@ -25,10 +25,12 @@ this).
 
 **Storage.**  A row holds ``when`` (a double), the trace id, a stage
 code, ``node``, ``uid``, ``chunk`` and an extra-shape code; each
-recorder interns its own stage names and ``extra`` key tuples behind
-those codes.  A one-key ``extra`` keeps its bare value, any other keeps
-the tuple of its values, so on a serving run's event mix a stored event
-costs about 70 bytes (``tests/obs/test_flight.py`` bounds it).  Reading
+recorder interns its own stage names, ``extra`` key tuples and gauge
+names behind those codes.  A gauge sample
+(:meth:`FlightRecorder.gauge`) and a one-key ``extra`` keep their bare
+value, any other ``extra`` the tuple of its values, so on a serving
+run's event mix a stored event costs about 47 bytes
+(``tests/obs/test_flight.py`` bounds it).  Reading
 :attr:`FlightRecorder.events` rebuilds exactly the tuples that were
 recorded — one pass over the ring — so read it once per analysis, not
 inside a loop.
@@ -125,7 +127,7 @@ class FlightRecorder:
 
     __slots__ = ("sample", "cap", "dropped", "_rows", "_extras", "_write",
                  "_origin_seq", "_stages", "_stage_code", "_shapes",
-                 "_shape_code")
+                 "_shape_code", "_gauge_code")
 
     def __init__(self, sample: float = 1.0, cap: int = 1 << 18):
         if not 0.0 <= sample <= 1.0:
@@ -144,9 +146,11 @@ class FlightRecorder:
         self._origin_seq: dict[int, int] = {}
         self._stages: list[str] = []
         self._stage_code: dict[str, int] = {}
-        #: shape code -> extra's key tuple; code 0 is "no extra" (None)
-        self._shapes: list[tuple | None] = [None]
+        #: shape code -> extra's key tuple, or a gauge's name (a str);
+        #: code 0 is "no extra" (None)
+        self._shapes: list[tuple | str | None] = [None]
         self._shape_code: dict[tuple, int] = {}
+        self._gauge_code: dict[str, int] = {}
 
     # -- recording (hot path when attached) --------------------------------
     def begin(
@@ -189,11 +193,6 @@ class FlightRecorder:
         from :attr:`events` as the equal float.  *extra*'s keys and their
         order are kept, and its values are the same objects on read.
         """
-        code = self._stage_code.get(stage)
-        if code is None:
-            code = self._intern(
-                self._stage_code, self._stages, stage, _STAGE_CODES
-            )
         if extra is None:
             shape = 0
             values = None
@@ -206,6 +205,33 @@ class FlightRecorder:
                 )
             values = extra[keys[0]] if len(keys) == 1 else tuple(
                 extra.values()
+            )
+        self._store(when, trace_id, stage, node, uid, chunk, shape, values)
+
+    def gauge(self, when: float, node: int, name: str, value: Any) -> None:
+        """A gauge sample: what ``note(when, "gauge", node, name=name,
+        value=value)`` records, stored without a dict or a tuple.
+
+        The name (a ``str``, so it never reads as an extra's key tuple)
+        is interned into the row's extra-shape code, and only *value*,
+        the same object on read, takes a slot of its own.
+        """
+        shape = self._gauge_code.get(name)
+        if shape is None:
+            if type(name) is not str:
+                raise TypeError(f"gauge name must be a str, got {name!r}")
+            shape = self._intern(
+                self._gauge_code, self._shapes, name, _SHAPE_CODES
+            )
+        self._store(when, -1, "gauge", node, -1, 0, shape, value)
+
+    def _store(self, when: float, trace_id: int, stage: str, node: int,
+               uid: int, chunk: int, shape: int, values: Any) -> None:
+        """The one ring write behind :meth:`record` and :meth:`gauge`."""
+        code = self._stage_code.get(stage)
+        if code is None:
+            code = self._intern(
+                self._stage_code, self._stages, stage, _STAGE_CODES
             )
         extras = self._extras
         if len(extras) < self.cap:
@@ -260,6 +286,8 @@ class FlightRecorder:
             keys = shapes[shape]
             if keys is None:
                 extra = None
+            elif type(keys) is str:  # a gauge's name
+                extra = {"name": keys, "value": values}
             elif len(keys) == 1:
                 extra = {keys[0]: values}
             else:

@@ -91,6 +91,9 @@ class ListFlightRecorder:
              **extra: Any) -> None:
         self.record(when, -1, stage, node, -1, 0, extra)
 
+    def gauge(self, when: float, node: int, name: str, value: Any) -> None:
+        self.note(when, "gauge", node, name=name, value=value)
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -160,6 +163,42 @@ def test_event_to_dict_and_gauge_series():
     }
 
 
+def test_gauge_reads_back_as_the_note_it_replaces():
+    via_gauge, via_note = FlightRecorder(), FlightRecorder()
+    value = 2**70  # an object no cache shares
+    for t, node, name, v in [
+        (1.0, 3, "nic.send_buffers_in_use", 5),
+        (2.0, 4, "nic.recv_buffers_in_use", 0),
+        (3.0, 3, "nic.send_buffers_in_use", value),
+        (4.0, 0, "proto.send_window_depth", 1.5),
+    ]:
+        via_gauge.gauge(t, node, name, v)
+        via_note.note(t, "gauge", node, name=name, value=v)
+    assert repr(via_gauge.events) == repr(via_note.events)
+    assert via_gauge.events[2][EV_EXTRA]["value"] is value
+    assert gauge_series(via_gauge.events) == gauge_series(via_note.events)
+    assert via_gauge.traces() == [] and len(via_gauge) == 4
+
+
+def test_gauge_names_and_extra_shapes_stay_apart():
+    fr = FlightRecorder()
+    fr.record(1.0, -1, "gauge", 0, extra={"depth": 1})
+    fr.gauge(2.0, 0, "depth", 2)
+    fr.note(3.0, "gauge", 0, name="depth", value=3)
+    fr.gauge(4.0, 0, "name", 4)
+    fr.record(5.0, -1, "gauge", 0, extra={"name": 5})
+    assert [ev[EV_EXTRA] for ev in fr.events] == [
+        {"depth": 1},
+        {"name": "depth", "value": 2},
+        {"name": "depth", "value": 3},
+        {"name": "name", "value": 4},
+        {"name": 5},
+    ]
+    with pytest.raises(TypeError, match="gauge name"):
+        fr.gauge(6.0, 0, ("depth",), 6)
+    assert len(fr) == 5
+
+
 @pytest.mark.parametrize("cap", [2.5, True, 0, "8"])
 def test_cap_must_be_an_int_at_least_one(cap):
     with pytest.raises(ValueError, match="cap"):
@@ -209,6 +248,9 @@ def test_code_fields_raise_instead_of_wrapping():
         fr.record(0.0, -1, "s0", 0, extra={f"k{i}": i})
     with pytest.raises(ValueError, match=r"no code left for \('one more',\)"):
         fr.record(0.0, -1, "s0", 0, extra={"one more": 0})
+    # Gauge names draw on the same shape codes.
+    with pytest.raises(ValueError, match="no code left for 'gauge name'"):
+        fr.gauge(0.0, 0, "gauge name", 0)
     assert len(fr) == 256 + 65535
     fr.record(1.0, -1, "s255", 0, extra={"k65534": 0})
     assert fr.events[-1] == (1.0, -1, "s255", 0, -1, 0, {"k65534": 0})
@@ -253,6 +295,12 @@ _OP = st.one_of(
         st.just("note"), _WHEN, _STAGE, _INT32,
         st.dictionaries(_KEYS, _VALUES, max_size=3),
     ),
+    st.tuples(
+        st.just("gauge"), _WHEN, _INT32,
+        _KEYS | st.sampled_from(("nic.send_buffers_in_use",
+                                 "proto.send_window_depth")),
+        _VALUES,
+    ),
 )
 
 
@@ -267,6 +315,8 @@ def _replay(recorder, ops) -> list[int]:
             ))
         elif op[0] == "record":
             recorder.record(*op[1:])
+        elif op[0] == "gauge":
+            recorder.gauge(*op[1:])
         else:
             _, when, stage, node, extra = op
             recorder.note(when, stage, node, **extra)
@@ -298,17 +348,17 @@ def test_packed_ring_matches_reference(sample, cap, ops):
 def _record_serving_mix(recorder, n: int) -> None:
     """*n* events in ``serving16_observed``'s proportions.
 
-    Per ten events: four gauges, two injects, a deliver, an ack, a
-    queue wait (each with a one-key extra) and a host delivery with no
-    extra.  Every event gets its own time, as simulated times do.
+    Per ten events: four gauges (recorded with ``gauge()``, as the NIC
+    and GM layers do), two injects, a deliver, an ack, a queue wait
+    (each with a one-key extra) and a host delivery with no extra.
+    Every event gets its own time, as simulated times do.
     """
     record = recorder.record
-    gauge = "nic.send_buffers_in_use"
+    gauge = recorder.gauge
     for i in range(n // 10):
         t = i * 10.0
         for node in range(4):
-            record(t + node, -1, "gauge", node, -1, 0,
-                   {"name": gauge, "value": i % 7})
+            gauge(t + node, node, "nic.send_buffers_in_use", i % 7)
         record(t + 4.0, i, "inject", 0, i, 0, {"dst": 3})
         record(t + 5.0, i, "inject", 0, i, 1, {"dst": 5})
         record(t + 6.0, i, "deliver", 3, i, 0, {"src": 0})
@@ -336,9 +386,9 @@ def _bytes_per_event(factory, n: int = 50_000) -> float:
 
 
 def test_stored_event_memory_bound():
-    assert _bytes_per_event(FlightRecorder) <= 96
+    assert _bytes_per_event(FlightRecorder) <= 56
     # The bound tells the packed ring from a tuple per event.
-    assert _bytes_per_event(ListFlightRecorder) > 96
+    assert _bytes_per_event(ListFlightRecorder) > 56
 
 
 # -- non-perturbation against the golden fixtures ---------------------------

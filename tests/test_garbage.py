@@ -20,6 +20,7 @@ import pytest
 import repro.workload  # noqa: F401  (registers the serving runner)
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.gm.params import GMCostModel
 from repro.mcast.schemes import BoundScheme, available_schemes, get_scheme
 from repro.net import Network, Packet, PacketHeader, PacketType, single_switch
 from repro.net.failure import FailureEvent, FailureSpec
@@ -324,6 +325,17 @@ def test_probe_figures_close_their_clusters(figure):
     # fig1 and fig2 build their probe clusters outside Harness.
     module = importlib.import_module(f"repro.experiments.{figure}")
     garbage = left_for_collector(lambda: module.run(quick=True))
+    assert garbage == [], describe(garbage)
+
+
+@pytest.mark.parametrize("figure, make", [
+    ("fig8", lambda module, cost: module.failure_spec(3, cost)),
+    ("fig9", lambda module, cost: module._failure(64, cost)),
+], ids=["fig8", "fig9"])
+def test_failure_figures_close_their_scratch_fabrics(figure, make):
+    # fig8 and fig9 build a fabric only to look up cable indices.
+    module = importlib.import_module(f"repro.experiments.{figure}")
+    garbage = left_for_collector(lambda: make(module, GMCostModel()))
     assert garbage == [], describe(garbage)
 
 
