@@ -159,7 +159,7 @@ class CollectiveEngine:
         return state
 
     def _handle_contribute(self, cmd: CollContributeCommand) -> Generator:
-        yield from self.nic.processing(self.cost.nic_group_lookup)
+        yield self.nic.processing(self.cost.nic_group_lookup)
         coll = self._group_coll(cmd.group_id)
         state = coll.epoch(cmd.epoch, cmd.op)
         state.host_arrived = True
@@ -171,7 +171,7 @@ class CollectiveEngine:
         info = h.info
         if "coll" not in info:
             return  # not ours (other CONTROL users may exist)
-        yield from self.nic.processing(self.cost.nic_recv_processing)
+        yield self.nic.processing(self.cost.nic_recv_processing)
         group_id = h.group
         if self.mcast.table.get(group_id) is None:
             # The group's membership has not reached this NIC yet (a
@@ -227,7 +227,7 @@ class CollectiveEngine:
         combine = REDUCE_OPS[state.op]
         value = state.host_value
         for child in group.children:
-            yield from self.nic.processing(self.cost.nic_reduce_combine)
+            yield self.nic.processing(self.cost.nic_reduce_combine)
             value = combine(value, state.child_values[child])
         if group.is_root:
             state.result = value
@@ -272,7 +272,7 @@ class CollectiveEngine:
         group = coll.group
         if not state.delivered:
             state.delivered = True
-            yield from self.nic.processing(self.cost.nic_event_post)
+            yield self.nic.processing(self.cost.nic_event_post)
             waiter = self._waiters.pop((group_id, epoch), None)
             if waiter is not None:
                 waiter.succeed(state.result)
@@ -328,7 +328,7 @@ class CollectiveEngine:
     def _send_control(self, dst: int | None, group_id: int,
                       info: dict) -> Generator:
         assert dst is not None
-        yield from self.nic.processing(self.cost.nic_ack_generation)
+        yield self.nic.processing(self.cost.nic_ack_generation)
         pkt = make_packet(
             PacketType.CONTROL, self.nic.id, dst, self.nic.id,
             group=group_id,

@@ -38,6 +38,19 @@ from repro.errors import ConfigError
 
 __all__ = ["GMCostModel"]
 
+#: The cost model's time constants, µs.  Each may be zero, never
+#: negative: a negative cost would end a hold before it starts and move
+#: the simulated clock backwards.
+_TIMES = (
+    "link_latency", "switch_hop_latency", "dma_startup",
+    "host_send_post", "host_recv_post", "host_event_dispatch",
+    "host_mpi_overhead", "host_memcpy_startup", "host_register_cost",
+    "nic_command_fetch", "nic_send_token_processing", "nic_per_packet_send",
+    "nic_recv_processing", "nic_ack_processing", "nic_ack_generation",
+    "nic_header_rewrite", "nic_group_lookup", "nic_forward_processing",
+    "nic_event_post", "nic_reduce_combine",
+)
+
 
 @dataclass(frozen=True)
 class GMCostModel:
@@ -164,6 +177,11 @@ class GMCostModel:
         ):
             if getattr(self, attr) <= 0:
                 raise ConfigError(f"{attr} must be positive")
+        for attr in _TIMES:
+            if getattr(self, attr) < 0:
+                raise ConfigError(
+                    f"{attr} must be >= 0, got {getattr(self, attr)!r}"
+                )
         for attr in ("mtu", "send_tokens_per_port", "recv_tokens_per_port",
                      "nic_send_buffers", "nic_recv_buffers"):
             if getattr(self, attr) < 1:

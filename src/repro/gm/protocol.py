@@ -250,7 +250,7 @@ class GMEngine:
         assert token is not None
         # Translate the host send event into a send token (the per-request
         # LANai work that host-based multiple unicasts repeat k times).
-        yield from self.nic.processing(self.cost.nic_send_token_processing)
+        yield self.nic.processing(self.cost.nic_send_token_processing)
         if token.region is not None:
             self.memory.require(token.region)
         conn = self.send_conn(token.port_num, token.dst, token.dst_port)
@@ -280,7 +280,7 @@ class GMEngine:
             # LANai work stays on the command path; the data fetch is
             # handed to the staging pipeline (DMA overlaps later
             # requests' processing and earlier packets' transmission).
-            yield from self.nic.processing(self.cost.nic_per_packet_send)
+            yield self.nic.processing(self.cost.nic_per_packet_send)
             self.stage(
                 lambda conn=conn, record=record: self._transmit_record(
                     conn, record
@@ -296,7 +296,7 @@ class GMEngine:
         """Stage one packet (fresh or retransmit) and queue it for the wire."""
         staged_at = self.sim.now
         buf = yield self.nic.send_buffers.acquire()
-        yield from self.nic.dma(record.payload + GM_HEADER_BYTES)
+        yield self.nic.dma(record.payload + GM_HEADER_BYTES)
         record.sent_at = self.sim.now
         m = self.sim.metrics
         if m is not None:
@@ -352,18 +352,12 @@ class GMEngine:
         for GM unicast the host buffer is always still registered while
         the token is outstanding.
         """
-        yield from self.nic.processing(self.cost.nic_per_packet_send)
+        yield self.nic.processing(self.cost.nic_per_packet_send)
         yield from self._transmit_record(conn, record)
 
     # -- ACK handling ------------------------------------------------------------
     def _handle_ack(self, pkt: Packet, _buf: Any) -> Generator:
-        # nic.processing() inlined on the per-ack path (profile-hot).
-        cpu = self.nic.cpu
-        ev = cpu.use_fast(self.cost.nic_ack_processing)
-        if ev is None:
-            yield from cpu.use(self.cost.nic_ack_processing)
-        else:
-            yield ev
+        yield self.nic.cpu.hold(self.cost.nic_ack_processing)
         h = pkt.header
         conn = self._send_conns.get((h.port, h.src, h.from_port))
         if conn is None:
@@ -406,13 +400,7 @@ class GMEngine:
     # -- receive path ---------------------------------------------------------------
     def _handle_data(self, pkt: Packet, buf: Any) -> Generator:
         arrived_at = self.sim.now
-        # nic.processing() inlined on the per-packet path (profile-hot).
-        cpu = self.nic.cpu
-        ev = cpu.use_fast(self.cost.nic_recv_processing)
-        if ev is None:
-            yield from cpu.use(self.cost.nic_recv_processing)
-        else:
-            yield ev
+        yield self.nic.cpu.hold(self.cost.nic_recv_processing)
         h = pkt.header
         m = self.sim.metrics
         conn = self.recv_conn(h.src, h.from_port, h.port)
@@ -481,20 +469,14 @@ class GMEngine:
 
     def _rdma_to_host(self, conn: Connection, msg: _InflightRecv,
                       pkt: Packet, buf: Any) -> Generator:
-        # nic.dma_write() inlined on the per-packet path (profile-hot).
         nic = self.nic
-        duration = nic.cost.dma_write_time(pkt.header.payload)
-        ev = nic.pci.use_fast(duration)
-        if ev is None:
-            yield from nic.pci.use(duration)
-        else:
-            yield ev
+        yield nic.pci.hold(nic.cost.dma_write_time(pkt.header.payload))
         if buf is not None:
             buf.release()
         msg.received += 1
         if msg.received == msg.nchunks:
             conn.inflight.pop(pkt.header.msg_id, None)
-            yield from self.nic.processing(self.cost.nic_event_post)
+            yield self.nic.processing(self.cost.nic_event_post)
             port = self.ports.get(pkt.header.port)
             fr = self.sim.flight
             if fr is not None and pkt.header.trace_id >= 0:

@@ -33,7 +33,7 @@ class Host:
         #: The host CPU.  Experiments that model contention between the
         #: application and communication library can share it; by default
         #: each host runs a single process.
-        self.cpu = Resource(sim, 1, name=f"{self.name}.cpu")
+        self.cpu = Resource(sim, name=f"{self.name}.cpu")
         #: Accumulated compute time (µs).
         self.compute_time = 0.0
         #: Accumulated time blocked inside communication calls (µs);
@@ -46,11 +46,7 @@ class Host:
             raise ValueError(f"negative compute duration {duration}")
         if duration == 0:
             return
-        ev = self.cpu.use_fast(duration)
-        if ev is None:
-            yield from self.cpu.use(duration)
-        else:
-            yield ev
+        yield self.cpu.hold(duration)
         self.compute_time += duration
 
     def charge_blocked(self, duration: float) -> None:

@@ -94,7 +94,7 @@ class McastEngine:
 
     # -- group management -------------------------------------------------
     def _handle_create_group(self, cmd: CreateGroupCommand) -> Generator:
-        yield from self.nic.processing(self.cost.nic_group_lookup)
+        yield self.nic.processing(self.cost.nic_group_lookup)
         assert cmd.state is not None
         if cmd.replace and cmd.state.group_id in self.table:
             self.table.remove(cmd.state.group_id)
@@ -110,7 +110,7 @@ class McastEngine:
         pending-ack entries are discharged); arriving children are
         resynced from the retransmit window.
         """
-        yield from self.nic.processing(self.cost.nic_group_lookup)
+        yield self.nic.processing(self.cost.nic_group_lookup)
         group = self.table.get(cmd.group_id)
         if group is None:
             return
@@ -142,7 +142,7 @@ class McastEngine:
     def _handle_replay(self, cmd: ReplayCommand) -> Generator:
         """Push the outstanding backlog to one (recovered) child now,
         rather than waiting out the retransmission timer."""
-        yield from self.nic.processing(self.cost.nic_group_lookup)
+        yield self.nic.processing(self.cost.nic_group_lookup)
         group = self.table.get(cmd.group_id)
         if group is None or cmd.child not in group.child_acked:
             return

@@ -50,13 +50,8 @@ class Forwarding:
         self.table = engine.table
 
     def _handle_mcast_data(self, pkt: Packet, buf: Any) -> Generator:
-        # nic.processing() inlined on the per-packet path (profile-hot).
         cpu = self.nic.cpu
-        ev = cpu.use_fast(self.cost.nic_recv_processing)
-        if ev is None:
-            yield from cpu.use(self.cost.nic_recv_processing)
-        else:
-            yield ev
+        yield cpu.hold(self.cost.nic_recv_processing)
         h = pkt.header
         m = self.sim.metrics
         group = self.table.get(h.group)
@@ -123,11 +118,7 @@ class Forwarding:
                 h.seq, h.nchunks, h.msg_size, h.trace_id
             )
         receiver.on_accept(group, h)
-        ev = cpu.use_fast(self.cost.nic_group_lookup)
-        if ev is None:
-            yield from cpu.use(self.cost.nic_group_lookup)
-        else:
-            yield ev
+        yield cpu.hold(self.cost.nic_group_lookup)
         if receiver.ack_after_accept(group, h):
             yield from self.engine.reliability.send_group_ack(group)
 
@@ -168,8 +159,8 @@ class Forwarding:
         """
         h = pkt.header
         forward_started = self.sim.now
-        yield from self.nic.processing(self.cost.nic_forward_processing)
-        yield from self.nic.sram_copy(h.payload)
+        yield self.nic.processing(self.cost.nic_forward_processing)
+        yield self.nic.sram_copy(h.payload)
         fr = self.sim.flight
         if fr is not None and h.trace_id >= 0:
             fr.record(
@@ -179,7 +170,7 @@ class Forwarding:
         self.engine.reliability.arm(group, record)
         first, rest = group.children[0], group.children[1:]
         fwd = pkt.clone(src=self.nic.id, dst=first)
-        yield from self.nic.processing(self.cost.nic_header_rewrite)
+        yield self.nic.processing(self.cost.nic_header_rewrite)
         desc = PacketDescriptor(
             fwd,
             buffer=buf,
@@ -210,12 +201,7 @@ class Forwarding:
         engine, which may reconstruct one lost data packet in place
         (no repair round-trip).  Parity is hop-local — it is consumed
         here, never forwarded; each forwarding hop emits its own."""
-        cpu = self.nic.cpu
-        ev = cpu.use_fast(self.cost.nic_recv_processing)
-        if ev is None:
-            yield from cpu.use(self.cost.nic_recv_processing)
-        else:
-            yield ev
+        yield self.nic.cpu.hold(self.cost.nic_recv_processing)
         h = pkt.header
         group = self.table.get(h.group)
         if buf is not None:
@@ -291,19 +277,13 @@ class Forwarding:
     ) -> Generator:
         """RDMA the packet up to the host, off the forwarding critical
         path; deliver the receive event once all chunks have landed."""
-        # nic.dma_write() inlined on the per-packet path (profile-hot).
         nic = self.nic
-        duration = nic.cost.dma_write_time(pkt.header.payload)
-        ev = nic.pci.use_fast(duration)
-        if ev is None:
-            yield from nic.pci.use(duration)
-        else:
-            yield ev
+        yield nic.pci.hold(nic.cost.dma_write_time(pkt.header.payload))
         self._drop_ref(buf, refbox)
         held.chunks_delivered += 1
         if held.chunks_delivered < held.nchunks:
             return
-        yield from self.nic.processing(self.cost.nic_event_post)
+        yield self.nic.processing(self.cost.nic_event_post)
         held.delivered_to_host = True
         fr = self.sim.flight
         if fr is not None and pkt.header.trace_id >= 0:

@@ -49,7 +49,7 @@ class Multisend:
         # One send-token translation for the whole multisend — this is
         # the processing host-based multiple unicasts repeat per
         # destination (Fig. 2a vs 2b).
-        yield from self.nic.processing(self.cost.nic_send_token_processing)
+        yield self.nic.processing(self.cost.nic_send_token_processing)
         group = self.table.require(cmd.group_id)
         if not group.is_root:
             raise RuntimeError(
@@ -65,7 +65,7 @@ class Multisend:
             self.engine._root_token_complete(group, token)
             return
         for idx, payload in enumerate(chunks):
-            yield from self.nic.processing(self.cost.nic_per_packet_send)
+            yield self.nic.processing(self.cost.nic_per_packet_send)
             record = self._make_record(group, token, idx, payload, len(chunks))
             if idx == 0 and token.context.get("info"):
                 record.app_info = token.context["info"]
@@ -81,7 +81,7 @@ class Multisend:
     def _stage_multisend_chunk(self, group, record):
         buf = yield self.nic.send_buffers.acquire()
         # The message crosses the PCI bus ONCE, whatever the fanout.
-        yield from self.nic.dma(record.payload + GM_HEADER_BYTES)
+        yield self.nic.dma(record.payload + GM_HEADER_BYTES)
         fr = self.sim.flight
         if fr is not None and record.trace_id >= 0:
             fr.record(
@@ -152,7 +152,7 @@ class Multisend:
         # third design alternative the rewrite overlapped the previous
         # transmission, so the inter-replica gap omits it.
         if not self.cost.multisend_inline_rewrite:
-            yield from self.nic.processing(self.cost.nic_header_rewrite)
+            yield self.nic.processing(self.cost.nic_header_rewrite)
         nxt = remaining.pop(0)
         desc.retarget(dst=nxt)
         m = self.sim.metrics

@@ -64,7 +64,7 @@ class NicAssistedEngine:
         token = cmd.token
         assert token is not None
         # One token translation for the whole multidestination message.
-        yield from self.nic.processing(self.cost.nic_send_token_processing)
+        yield self.nic.processing(self.cost.nic_send_token_processing)
         chunks = split_message(token.size, self.cost.mtu)
         dests = cmd.destinations
         for idx, payload in enumerate(chunks):
@@ -85,7 +85,7 @@ class NicAssistedEngine:
                 conn.window.add(record)
                 token.unacked_packets += 1
                 jobs.append((conn, record))
-            yield from self.nic.processing(self.cost.nic_per_packet_send)
+            yield self.nic.processing(self.cost.nic_per_packet_send)
             self.gm.stage(
                 lambda jobs=jobs, payload=payload, token=token, idx=idx: (
                     self._stage_chunk(jobs, payload, token, idx)
@@ -98,7 +98,7 @@ class NicAssistedEngine:
         """DMA the chunk once, then chain replicas via the descriptor
         callback — same buffer, rewritten header per destination."""
         buf = yield self.nic.send_buffers.acquire()
-        yield from self.nic.dma(payload + GM_HEADER_BYTES)
+        yield self.nic.dma(payload + GM_HEADER_BYTES)
         (conn, record), rest = jobs[0], jobs[1:]
         pkt = self._packet_for(record, token, chunk_idx)
         record.sent_at = self.sim.now
@@ -136,7 +136,7 @@ class NicAssistedEngine:
         return self._emit_replica(desc, rest)
 
     def _emit_replica(self, desc: PacketDescriptor, rest) -> Generator:
-        yield from self.nic.processing(self.cost.nic_header_rewrite)
+        yield self.nic.processing(self.cost.nic_header_rewrite)
         conn, record = rest.pop(0)
         token = desc.context["token"]
         desc.packet = self._packet_for(record, token, desc.context["chunk"])

@@ -152,13 +152,7 @@ class McastReliability:
 
     # -- ACK reception ------------------------------------------------------
     def _handle_mcast_ack(self, pkt: Packet, _buf: Any) -> Generator:
-        # nic.processing() inlined on the per-ack path (profile-hot).
-        cpu = self.nic.cpu
-        ev = cpu.use_fast(self.cost.nic_ack_processing)
-        if ev is None:
-            yield from cpu.use(self.cost.nic_ack_processing)
-        else:
-            yield ev
+        yield self.nic.cpu.hold(self.cost.nic_ack_processing)
         h = pkt.header
         group = self.table.get(h.group)
         if group is None:
@@ -198,12 +192,7 @@ class McastReliability:
     def _handle_mcast_nack(self, pkt: Packet, _buf: Any) -> Generator:
         """A child reported gaps: apply its piggybacked cumulative ack,
         then hand the gap list to the group's sender engine."""
-        cpu = self.nic.cpu
-        ev = cpu.use_fast(self.cost.nic_ack_processing)
-        if ev is None:
-            yield from cpu.use(self.cost.nic_ack_processing)
-        else:
-            yield ev
+        yield self.nic.cpu.hold(self.cost.nic_ack_processing)
         h = pkt.header
         group = self.table.get(h.group)
         if group is None:
@@ -233,11 +222,7 @@ class McastReliability:
         piggybacked in ``ack_seq``) at ack priority."""
         assert group.parent is not None
         nic, cost = self.nic, self.cost
-        ev = nic.cpu.use_fast(cost.nic_ack_generation)
-        if ev is None:
-            yield from nic.cpu.use(cost.nic_ack_generation)
-        else:
-            yield ev
+        yield nic.cpu.hold(cost.nic_ack_generation)
         pkt = make_packet(
             PacketType.MCAST_NACK, nic.id, group.parent, nic.id,
             port=group.port_num,
@@ -375,8 +360,8 @@ class McastReliability:
         rather than ``retransmit_wait``.
         """
         buf = yield self.nic.send_buffers.acquire()
-        yield from self.nic.dma(record.payload + GM_HEADER_BYTES)
-        yield from self.nic.processing(self.cost.nic_per_packet_send)
+        yield self.nic.dma(record.payload + GM_HEADER_BYTES)
+        yield self.nic.processing(self.cost.nic_per_packet_send)
         record.sent_at = self.sim.now
         m = self.sim.metrics
         if m is not None:

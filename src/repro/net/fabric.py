@@ -69,8 +69,8 @@ class _Traversal:
 
     def _claim(self) -> None:
         # Uncontended links (the dominant case in every sweep) are
-        # claimed inline — no Request, no grant event; only a busy
-        # channel parks the walk on a claim event.
+        # claimed inline, with no claim event; only a busy channel
+        # parks the walk on a claim event.
         link = self.links[self.hop]
         if not link.up:
             # The cable (or an attached switch) died after this packet's

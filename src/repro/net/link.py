@@ -45,11 +45,11 @@ class Link:
         self.bandwidth = bandwidth
         self.latency = latency
         self.name = name
-        self._channel = Resource(sim, capacity=1, name=f"{name}.channel")
-        # Cached bound method: hold_for runs once per packet per hop, and
-        # a fresh closure (or bound method) there would be the single
-        # biggest allocation site in a sweep.
-        self._release_cb = self._channel._release_unit
+        self._channel = Resource(sim, name=f"{name}.channel")
+        # Cached bound method: the fabric schedules a release once per
+        # packet per hop, and a fresh bound method there would be the
+        # single biggest allocation site in a sweep.
+        self._release_cb = self._channel.release
         #: Cumulative bytes serialized (utilization accounting).
         self.bytes_carried = 0
         self.packets_carried = 0
@@ -72,44 +72,31 @@ class Link:
         return self._channel.queue_length
 
     def claim_fast(self) -> bool:
-        """Claim the channel inline if it is idle with no waiters.
+        """Claim the channel inline if it is idle.
 
-        The uncontended wire fast path: no :class:`Request`, no grant
-        event, no process suspension — the head starts crossing in the
-        same callback that injected it.  Returns ``False`` under
-        contention; the caller must then ``yield`` :meth:`claim_head`.
+        The uncontended wire fast path: no claim event, no process
+        suspension — the head starts crossing in the same callback that
+        injected it.  Returns ``False`` when the channel is busy; the
+        caller must then wait on :meth:`claim_head`.
         """
         channel = self._channel
-        if channel._in_use >= channel.capacity or channel._waiting:
+        if channel._in_use:
             return False
-        channel._in_use += 1
+        channel._in_use = 1
         return True
 
     def claim_head(self) -> SimEvent:
         """Request the channel for a packet head (cut-through traversal).
 
-        The caller must follow up with :meth:`hold_for` (which schedules the
-        release) once the head has crossed; see ``fabric.Network._traverse``.
+        Once the head has crossed, by this claim or :meth:`claim_fast`,
+        the caller schedules ``_release_cb`` for when the tail has
+        streamed through; see ``fabric._Traversal._cross``.
         """
         return self._channel.request()
 
-    def hold_for(self, duration: float) -> None:
-        """Keep the channel occupied for *duration* µs, then release.
-
-        Scheduled in the background so the packet head can progress to the
-        next hop while the tail is still streaming through this link.  This
-        runs once per packet per hop, so it goes through the kernel's
-        raw-callback timer (a recycled heap cell and a cached bound
-        method — no event, no closure, no release process).  Works for
-        holds taken via :meth:`claim_fast` and :meth:`claim_head` alike:
-        releasing a granted claim is exactly one ``_release_unit``.
-        """
-        sim = self.sim
-        sim.schedule_callback(sim._now + duration, self._release_cb)
-
     def close(self) -> None:
         """Teardown: drop the waiting claims (a waiting walk holds this)."""
-        self._channel._waiting.clear()
+        self._channel.close()
 
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.bandwidth}B/us lat={self.latency}us>"

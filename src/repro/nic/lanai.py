@@ -64,14 +64,14 @@ class NIC:
         self.name = f"nic[{nic_id}]"
 
         #: The LANai processor — all protocol processing serializes here.
-        self.cpu = Resource(sim, 1, name=f"{self.name}.cpu")
+        self.cpu = Resource(sim, name=f"{self.name}.cpu")
         #: The PCI bus shared by host-DMA in both directions.
-        self.pci = Resource(sim, 1, name=f"{self.name}.pci")
+        self.pci = Resource(sim, name=f"{self.name}.pci")
         #: The LANai's SRAM copy engine (separate from the processor):
         #: staging copies pipeline with protocol processing and the wire,
         #: so multi-packet forwarding streams while a single-packet
         #: message eats the full copy latency.
-        self.copy_engine = Resource(sim, 1, name=f"{self.name}.copy")
+        self.copy_engine = Resource(sim, name=f"{self.name}.copy")
 
         self.host_queue: Store = Store(sim, name=f"{self.name}.hostq")
         self.rx_queue: Store = Store(sim, name=f"{self.name}.rxq")
@@ -166,7 +166,7 @@ class NIC:
                     f"{self.name}: no handler for {type(command).__name__}"
                 )
             # Fetch/decode the host event — paid once per host request.
-            yield from self.processing(self.cost.nic_command_fetch)
+            yield self.processing(self.cost.nic_command_fetch)
             yield from handler(command)
 
     def _rx_loop(self) -> Generator:
@@ -267,40 +267,21 @@ class NIC:
             self.sim.process(result)
 
     # -- building blocks for protocol handlers --------------------------------
-    def dma(self, nbytes: int, priority: int = 0) -> Generator:
+    def dma(self, nbytes: int) -> SimEvent:
         """One host→NIC DMA transaction (PCI read) on the shared bus."""
-        duration = self.cost.dma_time(nbytes)
-        ev = self.pci.use_fast(duration)
-        if ev is None:
-            yield from self.pci.use(duration, priority=priority)
-        else:
-            yield ev
+        return self.pci.hold(self.cost.dma_time(nbytes))
 
-    def dma_write(self, nbytes: int, priority: int = 0) -> Generator:
+    def dma_write(self, nbytes: int) -> SimEvent:
         """One NIC→host DMA transaction (PCI write) on the shared bus."""
-        duration = self.cost.dma_write_time(nbytes)
-        ev = self.pci.use_fast(duration)
-        if ev is None:
-            yield from self.pci.use(duration, priority=priority)
-        else:
-            yield ev
+        return self.pci.hold(self.cost.dma_write_time(nbytes))
 
-    def processing(self, cost: float, priority: int = 0) -> Generator:
-        """Hold the LANai processor for *cost* µs (fast path when idle)."""
-        ev = self.cpu.use_fast(cost)
-        if ev is None:
-            yield from self.cpu.use(cost, priority=priority)
-        else:
-            yield ev
+    def processing(self, cost: float) -> SimEvent:
+        """Hold the LANai processor for *cost* µs."""
+        return self.cpu.hold(cost)
 
-    def sram_copy(self, nbytes: int) -> Generator:
+    def sram_copy(self, nbytes: int) -> SimEvent:
         """Stage *nbytes* through SRAM on the copy engine."""
-        duration = nbytes / self.cost.nic_sram_copy_bandwidth
-        ev = self.copy_engine.use_fast(duration)
-        if ev is None:
-            yield from self.copy_engine.use(duration)
-        else:
-            yield ev
+        return self.copy_engine.hold(nbytes / self.cost.nic_sram_copy_bandwidth)
 
     def queue_tx(self, desc: PacketDescriptor, priority: int = TX_PRIO_DATA) -> None:
         self.tx_queue.put_priority(priority, desc)

@@ -205,7 +205,7 @@ class NackFecSender(NackSender):
 
     def _emit_parity(self, group: Any, members: list[tuple]) -> Generator:
         t = self.transport
-        yield from t.nic.processing(t.cost.nic_per_packet_send)
+        yield t.nic.processing(t.cost.nic_per_packet_send)
         m = t.sim.metrics
         payload = max(member[4] for member in members)
         for child in group.children:

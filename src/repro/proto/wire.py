@@ -58,13 +58,7 @@ def send_ack(
     DMA queue at :data:`~repro.nic.lanai.TX_PRIO_ACK` so acknowledgments
     overtake queued data.
     """
-    # nic.processing() inlined: one ack per data packet makes this a
-    # per-packet site, and the wrapper generator showed up in profiles.
-    ev = nic.cpu.use_fast(cost.nic_ack_generation)
-    if ev is None:
-        yield from nic.cpu.use(cost.nic_ack_generation)
-    else:
-        yield ev
+    yield nic.cpu.hold(cost.nic_ack_generation)
     ack = build_ack_packet(
         ptype=ptype,
         src=nic.id,

@@ -2,7 +2,7 @@
 
 A small, from-scratch, SimPy-like kernel: processes are Python generators
 that ``yield`` :class:`SimEvent` instances (timeouts, resource requests,
-store gets, composite conditions) and are resumed when those events trigger.
+store gets, ``all_of`` conditions) and are resumed when those events trigger.
 
 The kernel is fully deterministic: the event heap is ordered by
 ``(time, priority, sequence)`` and all randomness must flow through named,
@@ -10,21 +10,13 @@ seeded streams obtained from :meth:`Simulator.rng`.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    SimEvent,
-    Timeout,
-)
+from repro.sim.events import AllOf, SimEvent, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "PriorityStore",
     "Process",
     "Resource",

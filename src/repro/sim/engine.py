@@ -2,8 +2,8 @@
 
 Kernel v2: the heap holds two kinds of entries — :class:`SimEvent`
 objects and :class:`_Callback` cells (raw callables recycled through a
-freelist).  Timers that only need to run a function (resource
-releases, ``Link.hold_for``, retransmission timers) go through
+freelist).  Timers that only need to run a function (link
+releases, packet hops, retransmission timers) go through
 :meth:`Simulator.schedule_callback` and never allocate an event; one
 dispatch loop (hoisted heap/locals, batched counter updates) serves
 every run mode, so the per-event cost is one heap pop plus the
@@ -39,8 +39,9 @@ from itertools import count
 from typing import Any, Callable, Generator
 
 from repro.perf.counters import KERNEL_COUNTERS
-from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
+from repro.sim.events import AllOf, SimEvent, Timeout
 from repro.sim.process import Process
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
@@ -254,9 +255,6 @@ class Simulator:
         """Start driving *generator* as a simulation process."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: list[SimEvent]) -> AnyOf:
-        return AnyOf(self, events)
-
     def all_of(self, events: list[SimEvent]) -> AllOf:
         return AllOf(self, events)
 
@@ -441,8 +439,9 @@ class Simulator:
         """Drop all queued work and refuse to run again.
 
         Queued events lose their callbacks and timers their functions,
-        and a process waiting on dropped work is ended; what ending it
-        queues (a ``finally`` releasing a resource) is dropped too.
+        and a process waiting on dropped work is ended.  A resource whose
+        hold is dropped (a hold's end, or the grant that starts one) is
+        closed too, and the processes queued on it are ended after those.
         Owners end the processes they keep first.  Closing twice is
         harmless.
         """
@@ -450,6 +449,7 @@ class Simulator:
         # The per-instance partial refers back to the simulator.
         vars(self).pop("timeout", None)
         wheel = (self._wheel_l0, self._wheel_l1)
+        queued: list[SimEvent] = []
         while True:
             work = [entry[3] for entry in self._heap]
             for bucket in [b for level in wheel for b in level.values()]:
@@ -457,11 +457,13 @@ class Simulator:
             work += [entry[3] for entry in self._wheel_overflow]
             work += self._now_q
             work += self._now_uq
+            work += queued
             if not work:
                 break
             for queue in (self._heap, self._now_q, self._now_uq,
                           self._wheel_overflow, *wheel):
                 queue.clear()
+            held: list[Resource] = []
             for item in work:
                 if not isinstance(item, SimEvent):
                     item.fn = None
@@ -469,11 +471,15 @@ class Simulator:
                 callbacks, item.callbacks = item.callbacks, []
                 for callback in callbacks:
                     # A waiting process holds itself through its resume
-                    # callback: end it.
-                    waiter = getattr(callback, "__self__", None)
-                    if isinstance(waiter, Process):
-                        waiter.close()
-            work = item = callbacks = None
+                    # callback: end it.  A hold's end and its grant run
+                    # a method of the resource.
+                    owner = getattr(callback, "__self__", None)
+                    if isinstance(owner, Process):
+                        owner.close()
+                    elif isinstance(owner, Resource):
+                        held.append(owner)
+            queued = [ev for res in held for ev in res.close()]
+            work = item = callbacks = owner = held = None
         self._wheel_next = _INF
 
     def _dispatch(self, horizon: float, stop: list[bool] | None) -> None:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["SimEvent", "Timeout", "Condition", "AnyOf", "AllOf", "Interrupt"]
+__all__ = ["SimEvent", "Timeout", "AllOf"]
 
 
 class _Pending:
@@ -24,18 +24,6 @@ class _Pending:
 
 
 PENDING = _Pending()
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupt *cause* (an arbitrary object) is available as
-    ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class SimEvent:
@@ -141,13 +129,6 @@ class SimEvent:
         label = f" {self.name!r}" if self.name else ""
         return f"<{type(self).__name__}{label} {state}>"
 
-    # Composition sugar: ``ev_a | ev_b`` and ``ev_a & ev_b``.
-    def __or__(self, other: "SimEvent") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
-    def __and__(self, other: "SimEvent") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
 
 class Timeout(SimEvent):
     """An event that fires after a fixed simulated delay."""
@@ -183,12 +164,12 @@ class Timeout(SimEvent):
             )
 
 
-class Condition(SimEvent):
-    """Base for composite events over a fixed set of sub-events.
+class AllOf(SimEvent):
+    """Triggers once *all* of a fixed set of sub-events have triggered.
 
-    The condition's value is a dict mapping each *triggered* sub-event to
-    its value, in trigger order.  If any sub-event fails before the
-    condition triggers, the condition fails with that exception.
+    The value is a dict mapping each sub-event to its value, in trigger
+    order.  If any sub-event fails first, the condition fails with that
+    exception.
     """
 
     __slots__ = ("events", "_results", "_count")
@@ -206,47 +187,17 @@ class Condition(SimEvent):
                 raise ValueError("cannot mix events from different simulators")
             ev.add_callback(self._check)
 
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
     def _check(self, event: SimEvent) -> None:
         if self.triggered:
             return
         if not event.ok:
             self.fail(event.value)
-            self._detach()
+            # Drop ``_check`` from the still-pending sub-events: a dead
+            # callback on a long-lived event would keep this condition.
+            for ev in self.events:
+                ev.remove_callback(self._check)
             return
         self._count += 1
         self._results[event] = event.value
-        if self._satisfied(self._count, len(self.events)):
+        if self._count == len(self.events):
             self.succeed(dict(self._results))
-            self._detach()
-
-    def _detach(self) -> None:
-        """Drop ``_check`` from still-pending sub-events once decided.
-
-        Without this, an ``AnyOf`` over a long-lived event (a watchdog
-        timer, a port's close event) leaves a dead callback — and a
-        reference to this condition — on every loser for the rest of the
-        loser's life.
-        """
-        for ev in self.events:
-            ev.remove_callback(self._check)
-
-
-class AnyOf(Condition):
-    """Triggers as soon as *any* sub-event triggers."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1
-
-
-class AllOf(Condition):
-    """Triggers once *all* sub-events have triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total

@@ -13,7 +13,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.sim.events import Interrupt, SimEvent
+from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -72,25 +72,6 @@ class Process(SimEvent):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        The event the process was waiting on is abandoned (its callback is
-        detached); the process decides what to do with the interrupt.
-        Interrupting a finished process raises :class:`RuntimeError`.
-        """
-        if self.triggered:
-            raise RuntimeError(f"cannot interrupt finished process {self!r}")
-        if self._target is None:
-            raise RuntimeError(f"cannot interrupt unstarted process {self!r}")
-        self._target.remove_callback(self._resume_cb)
-        self._target = None
-        # Urgent, so the interrupt lands before same-instant ordinary
-        # events; the failure reaches the process through throw().
-        poke = SimEvent(self.sim, name=f"interrupt:{self.name}")
-        poke.fail(Interrupt(cause), priority=0)
-        poke.add_callback(self._resume_cb)
 
     def close(self) -> None:
         """End the process where it waits, without resuming it: detach

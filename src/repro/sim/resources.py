@@ -1,14 +1,15 @@
-"""Shared-resource primitives: semaphores and FIFO stores.
+"""Shared-resource primitives: capacity-1 units and FIFO stores.
 
-These model contended hardware in the stack: the LANai processor and PCI
-bus are capacity-1 :class:`Resource` objects, and packet queues are
-:class:`Store` objects.
+These model contended hardware in the stack: the LANai processor, the
+PCI bus and the SRAM copy engine are :class:`Resource` units, and packet
+queues are :class:`Store` objects.
 
-Kernel v2 adds uncontended fast paths: :meth:`Resource.use_fast` grants a
-free resource inline with a single hold-end event (no
-:class:`Request`, no generator frame), and :meth:`Store.try_get` hands
-back an already-queued item synchronously so engine drain loops skip
-getter-event creation entirely.
+Every hold is one event: :meth:`Resource.hold` returns it and the caller
+yields it.  On a free unit the event is the hold's end, already carrying
+the release; a hold that has to queue gets a grant event when the unit
+comes free, and that grant schedules the end.  :meth:`Store.try_get`
+hands back an already-queued item synchronously, so engine drain loops
+skip getter-event creation entirely.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import PENDING, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Resource", "Request", "Store", "PriorityStore", "EMPTY"]
+__all__ = ["Resource", "Store", "PriorityStore", "EMPTY"]
 
 
 class _Empty:
@@ -36,142 +37,120 @@ class _Empty:
 EMPTY = _Empty()
 
 
-class Request(SimEvent):
-    """A pending or granted claim on a :class:`Resource`."""
+class _Hold(SimEvent):
+    """A hold queued behind a busy unit, and the event its caller yields:
+    pending until the unit is handed to it, dispatched when it ends."""
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("duration",)
 
-    def __init__(self, resource: "Resource", priority: int):
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.priority = priority
+    def __init__(self, sim: "Simulator", duration: float):
+        super().__init__(sim)
+        self.duration = duration
 
 
 class Resource:
-    """A counted resource (semaphore) with priority-FIFO granting.
+    """One unit of contended hardware, granted first come, first served.
 
-    ``request()`` returns an event that succeeds when the claim is granted;
-    ``release(req)`` returns the unit.  Lower *priority* values are granted
-    first; ties are FIFO.
+    :meth:`hold` occupies the unit for a fixed time.  A link's packet
+    head claims the unit with :meth:`request` and gives it back with
+    :meth:`release` once its tail has streamed through.  Holds and claims
+    wait in one FIFO queue.
     """
 
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str | None = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: "Simulator", name: str | None = None):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiting: list[tuple[int, int, Request]] = []
-        self._seq = count()
-        #: Accumulated held time from :meth:`use`/:meth:`use_fast`, µs
-        #: (utilization accounting; direct request/release pairs are not
-        #: tracked).
+        #: Queued claims (plain events) and holds (:class:`_Hold`),
+        #: oldest first.  A list, not a deque: most units never queue
+        #: more than a few, and an empty deque costs 760 bytes against a
+        #: list's 56.  Non-empty only while the unit is in use.
+        self._waiting: list[SimEvent] = []
+        #: The hold the unit was handed to, until its grant event runs.
+        self._granted: _Hold | None = None
+        #: Accumulated held time from :meth:`hold`, µs (utilization
+        #: accounting; claims are not tracked).
         self.busy_time = 0.0
-        #: Number of :meth:`use`/:meth:`use_fast` holds completed.
+        #: Number of holds completed.
         self.use_count = 0
 
     @property
     def in_use(self) -> int:
-        """Number of granted, un-released claims."""
+        """1 while the unit is held or claimed, else 0."""
         return self._in_use
 
     @property
     def queue_length(self) -> int:
-        """Number of claims waiting to be granted."""
-        return len(self._waiting)
+        """Number of claims and holds waiting, not counting a hold whose
+        waiter has gone (it is skipped when the unit comes free)."""
+        return sum(
+            1 for ev in self._waiting
+            if ev.callbacks or ev.__class__ is not _Hold
+        )
 
-    def request(self, priority: int = 0) -> Request:
-        """Claim one unit: the returned :class:`Request` succeeds, with
-        value ``None``, once the claim is granted — at once if a unit is
-        free and nobody is queued.  Pass the request itself to
-        :meth:`release`.  (The value is not the request: a request
-        holding itself would be a reference cycle that only the cyclic
-        garbage collector could free.)
+    def request(self) -> SimEvent:
+        """Claim the unit: the returned event succeeds, with value
+        ``None``, once the claim is granted — at once if the unit is
+        free.  The claimant gives the unit back with :meth:`release`.
         """
-        req = Request(self, priority)
-        if self._in_use < self.capacity and not self._waiting:
-            self._in_use += 1
-            req.succeed()
+        ev = SimEvent(self.sim)
+        if self._in_use:
+            self._waiting.append(ev)
         else:
-            heapq.heappush(self._waiting, (priority, next(self._seq), req))
-        return req
+            self._in_use = 1
+            ev.succeed()
+        return ev
 
-    def _release_unit(self) -> None:
-        """Return one unit and grant as many queued claims as now fit."""
-        self._in_use -= 1
-        if self._in_use < 0:
+    def release(self) -> None:
+        """Return the unit and hand it to the oldest live claim or hold.
+
+        A queued hold that nobody waits on any more (its process was
+        closed) is skipped and never holds the unit.
+        """
+        if not self._in_use:
             raise RuntimeError(f"double release on {self.name or self!r}")
-        while self._waiting and self._in_use < self.capacity:
-            _prio, _seq, nxt = heapq.heappop(self._waiting)
-            self._in_use += 1
-            nxt.succeed()
+        waiting = self._waiting
+        while waiting:
+            nxt = waiting.pop(0)
+            if nxt.__class__ is not _Hold:
+                nxt.succeed()
+                return
+            if nxt.callbacks:
+                nxt._value = None
+                nxt._ok = True
+                self._granted = nxt
+                grant = SimEvent(self.sim)
+                grant.callbacks.append(self._start)
+                grant.succeed()
+                return
+        self._in_use = 0
 
-    def release(self, request: Request) -> None:
-        """Return the unit held by *request*."""
-        if request.resource is not self:
-            raise ValueError("request does not belong to this resource")
-        if not request.triggered:
-            # Cancelling a never-granted claim: drop it from the queue.
-            self._waiting = [
-                entry for entry in self._waiting if entry[2] is not request
-            ]
-            heapq.heapify(self._waiting)
-            return
-        self._release_unit()
+    def hold(self, duration: float) -> SimEvent:
+        """Occupy the unit for *duration* µs: yield the returned event,
+        which fires when the hold ends and the unit has been released.
 
-    def use(
-        self, duration: float, priority: int = 0
-    ) -> Generator[SimEvent, Any, None]:
-        """``yield from`` helper: acquire, hold for *duration* µs, release.
-
-        The general (contention-safe) hold; hot callers go through
-        :meth:`use_fast` first and only fall back here when the resource
-        is busy or has queued waiters.
+        On a free unit the hold starts at once and the event is its end.
+        On a busy one the hold queues: when the unit is handed over, a
+        grant event runs and schedules the end *duration* later.  Yield
+        the event straight away — a queued hold nobody waits on when the
+        unit comes free is skipped.
         """
-        req = self.request(priority)
-        try:
-            # Inside the try: a waiter closed before its grant must
-            # take its claim out of the queue.
-            yield req
-            yield self.sim.timeout(duration)
-            self.busy_time += duration
-            self.use_count += 1
-        finally:
-            self.release(req)
-
-    def use_fast(self, duration: float) -> SimEvent | None:
-        """Uncontended hold: one pre-triggered hold-end event, or ``None``.
-
-        When the resource is free with no waiters, the unit is claimed
-        inline and a single event — already carrying the release callback
-        — is scheduled at ``now + duration``.  The caller yields that
-        event and the hold costs no :class:`Request`, no ``use()``
-        generator frame, and no separate release timer:
-
-            ev = res.use_fast(cost)
-            if ev is None:
-                yield from res.use(cost, priority=priority)
-            else:
-                yield ev
-
-        Returns ``None`` under contention (or capacity exhaustion); the
-        caller must then take the ordinary :meth:`use` path.
-        """
-        if self._in_use >= self.capacity or self._waiting:
-            return None
-        self._in_use += 1
+        if duration < 0:
+            raise ValueError(f"negative hold duration {duration!r}")
+        sim = self.sim
+        if self._in_use:
+            hold = _Hold(sim, duration)
+            self._waiting.append(hold)
+            return hold
+        self._in_use = 1
         self.busy_time += duration
         self.use_count += 1
-        sim = self.sim
         # Slots assigned directly (one hold-end event per modelled
         # occupancy makes this the kernel's hottest allocation site).
         ev = SimEvent.__new__(SimEvent)
         ev.sim = sim
-        # The release runs first, then the waiting process resumes —
-        # matching use(), whose epilogue releases before the caller's
-        # continuation code runs.
-        ev.callbacks = [self._fast_hold_done]
+        # The release runs first, then the waiting process resumes.
+        ev.callbacks = [self._released]
         ev._value = None
         ev._ok = True
         ev.name = None
@@ -183,8 +162,38 @@ class Resource:
             )
         return ev
 
-    def _fast_hold_done(self, _ev: SimEvent) -> None:
-        self._release_unit()
+    def _start(self, _grant: SimEvent) -> None:
+        """Grant event: schedule the end of the hold just handed over."""
+        hold, self._granted = self._granted, None
+        # The end accounts for the hold and releases the unit before the
+        # waiter resumes.
+        hold.callbacks.insert(0, self._ended)
+        sim = self.sim
+        if hold.duration == 0.0:
+            sim._now_q.append(hold)
+        else:
+            heapq.heappush(
+                sim._heap, (sim._now + hold.duration, 1, next(sim._seq), hold)
+            )
+
+    def _ended(self, hold: _Hold) -> None:
+        self.busy_time += hold.duration
+        self.use_count += 1
+        self.release()
+
+    def _released(self, _ev: SimEvent) -> None:
+        self.release()
+
+    def close(self) -> list[SimEvent]:
+        """Teardown: drop the queue, and return the events its waiters
+        wait on — the hold handed over this instant, then every queued
+        hold and claim — so the simulator's close can end them."""
+        waiting = self._waiting
+        if self._granted is not None:
+            waiting.insert(0, self._granted)
+            self._granted = None
+        self._waiting = []
+        return waiting
 
 
 class Store:

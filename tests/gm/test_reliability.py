@@ -35,7 +35,7 @@ def run_transfer(loss, n_messages=5, size=512, n=2, seed=3, cost=None,
 
     s = cluster.spawn(sender())
     r = cluster.spawn(receiver())
-    cluster.run(until=s & r)
+    cluster.run(until=cluster.sim.all_of([s, r]))
     return cluster, received
 
 

@@ -30,7 +30,7 @@ def send_and_wait(cluster, src, dst, size):
 
     s = cluster.spawn(sender(cluster.node(src)))
     r = cluster.spawn(receiver(cluster.node(dst)))
-    cluster.run(until=s & r)
+    cluster.run(until=cluster.sim.all_of([s, r]))
     return result
 
 
@@ -109,7 +109,7 @@ class TestOrderingSemantics:
 
         s = cluster.spawn(sender())
         r = cluster.spawn(receiver())
-        cluster.run(until=s & r)
+        cluster.run(until=cluster.sim.all_of([s, r]))
         assert received == [64 + k for k in range(10)]
 
     def test_interleaved_sizes_in_order(self):
@@ -129,7 +129,7 @@ class TestOrderingSemantics:
 
         s = cluster.spawn(sender())
         r = cluster.spawn(receiver())
-        cluster.run(until=s & r)
+        cluster.run(until=cluster.sim.all_of([s, r]))
         assert received == [10000, 4, 8192, 1]
 
 
@@ -170,7 +170,7 @@ class TestTokens:
 
         s = cluster.spawn(sender())
         r = cluster.spawn(receiver())
-        cluster.run(until=s & r)
+        cluster.run(until=cluster.sim.all_of([s, r]))
         assert sizes == [100, 101, 102, 103, 104]
 
     def test_no_recv_token_recovers_via_retransmit(self):
@@ -194,7 +194,7 @@ class TestTokens:
 
         s = cluster.spawn(sender())
         r = cluster.spawn(receiver())
-        cluster.run(until=s & r)
+        cluster.run(until=cluster.sim.all_of([s, r]))
         assert got == [32]
         assert cluster.node(1).gm.no_token_dropped >= 1
         assert cluster.node(0).gm.retransmissions >= 1
@@ -258,5 +258,5 @@ class TestNonMulticastIsolation:
 
         s = cluster.spawn(sender())
         r = cluster.spawn(receiver())
-        cluster.run(until=s & r)
+        cluster.run(until=cluster.sim.all_of([s, r]))
         assert result["recv"] == pytest.approx(base)

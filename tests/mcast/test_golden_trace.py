@@ -1,8 +1,8 @@
 """Golden-trace identity for the kernel's event schedule.
 
-The v2 kernel (raw-callback timers, `use_fast`/`claim_fast`/`try_get`
-fast paths, fused run loop) must not move a single event relative to the
-v1 schedule.  This test pins the *complete* trace of an 8-node NIC-based
+The v2 kernel (raw-callback timers, `claim_fast`/`try_get` fast paths,
+fused run loop) and the one-event `Resource.hold` must not move a single
+event relative to the v1 schedule.  This test pins the *complete* trace of an 8-node NIC-based
 multicast — with a forced data-packet drop so the retransmission timer,
 Go-back-N resend, and duplicate-ACK paths are all on the wire — as a
 committed fixture and compares record for record.

@@ -82,7 +82,7 @@ class TestLink:
         assert link.busy
         link.claim_head()
         assert link.queue_length == 1
-        link.hold_for(5.0)
+        sim.schedule_callback(sim.now + 5.0, link._release_cb)
         sim.run()
         assert link.busy  # second claim was granted when first released
 
@@ -94,7 +94,7 @@ class TestLink:
         assert link.busy
         # Busy link: fast path refuses; the slow path must be taken.
         assert not link.claim_fast()
-        link.hold_for(5.0)
+        sim.schedule_callback(sim.now + 5.0, link._release_cb)
         sim.run()
         assert not link.busy
         # Queued waiter also blocks the fast path (FIFO fairness).

@@ -148,7 +148,7 @@ class TestDescriptors:
                 return None
 
             def work():
-                yield from a.processing(a.cost.nic_header_rewrite)
+                yield a.processing(a.cost.nic_header_rewrite)
                 nxt = desc.context["remaining"].pop(0)
                 desc.retarget(dst=nxt)
                 a.queue_tx(desc)
@@ -180,11 +180,11 @@ class TestDMA:
         done = []
 
         def reader():
-            yield from nic.dma(2100)  # 10us at 210 B/us + startup
+            yield nic.dma(2100)  # 10us at 210 B/us + startup
             done.append(("read", sim.now))
 
         def writer():
-            yield from nic.dma_write(1550)  # 10us at 155 B/us + startup
+            yield nic.dma_write(1550)  # 10us at 155 B/us + startup
             done.append(("write", sim.now))
 
         sim.process(reader())
@@ -204,11 +204,11 @@ class TestDMA:
         done = {}
 
         def cpu_user():
-            yield from nic.processing(10.0)
+            yield nic.processing(10.0)
             done["cpu"] = sim.now
 
         def copier():
-            yield from nic.sram_copy(1900)  # 10us at 190 B/us
+            yield nic.sram_copy(1900)  # 10us at 190 B/us
             done["copy"] = sim.now
 
         sim.process(cpu_user())

@@ -1,6 +1,7 @@
 """ScenarioSpec serialization and validation."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,35 @@ def test_probe_inputs_fail_at_load(section, key, value, match):
     data[section][key] = value
     with pytest.raises(ConfigError, match=match):
         ScenarioSpec.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("nic_command_fetch", -50.0), ("nic_recv_processing", -5.0)],
+)
+def test_negative_costs_fail_at_load(field, value):
+    # Both once loaded.  The first ran, and without the loss it reported
+    # a 1-byte delivery at -39.9 us: a hold that ended before it started
+    # moved the clock backwards.  The second failed deep in the run with
+    # a TreeError.
+    data = json.loads((EXAMPLES / "nic_multicast_lossy.json").read_text())
+    data["cluster"]["cost"] = {field: value}
+    with pytest.raises(ConfigError, match=field):
+        ScenarioSpec.from_json(json.dumps(data))
+
+
+def test_every_time_constant_rejects_a_negative_value():
+    times = [
+        "link_latency", "switch_hop_latency", "dma_startup",
+        *(f.name for f in fields(GMCostModel)
+          if f.name.startswith(("host_", "nic_"))
+          and not f.name.endswith(("bandwidth", "buffers"))),
+    ]
+    assert len(times) == 20
+    for name in times:
+        GMCostModel(**{name: 0.0})
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            GMCostModel(**{name: -0.25})
 
 
 def test_loss_spec_builds_each_model_kind():

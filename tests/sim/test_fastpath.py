@@ -1,6 +1,6 @@
 """Regression tests for the kernel fast-path changes.
 
-Covers the ``schedule_callback`` priority fix, Condition loser-callback detachment,
+Covers the ``schedule_callback`` priority fix, AllOf callback detachment,
 trace-disabled recording, and the processed-event counter.
 """
 
@@ -57,17 +57,6 @@ def test_call_at_past_still_raises():
         sim.schedule_callback(5.0, lambda: None)
 
 
-def test_anyof_detaches_loser_callbacks():
-    sim = Simulator()
-    winner = sim.timeout(1.0)
-    loser = sim.event()
-    cond = sim.any_of([winner, loser])
-    sim.run(until=cond)
-    # The long-lived loser no longer holds a reference to the decided
-    # condition via a dead _check callback.
-    assert loser.callbacks == []
-
-
 def test_condition_detaches_on_failure():
     sim = Simulator()
     bystander = sim.event()
@@ -78,16 +67,6 @@ def test_condition_detaches_on_failure():
     sim.run()
     assert not cond.ok
     assert bystander.callbacks == []
-
-
-def test_anyof_late_loser_trigger_is_harmless():
-    sim = Simulator()
-    fast = sim.timeout(1.0)
-    slow = sim.timeout(5.0)
-    cond = sim.any_of([fast, slow])
-    assert sim.run(until=cond) == {fast: None}
-    sim.run()  # the loser still fires without touching the condition
-    assert cond.value == {fast: None}
 
 
 def test_record_is_noop_when_trace_disabled():

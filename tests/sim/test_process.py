@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_process_runs_and_returns_value():
@@ -201,60 +201,6 @@ def test_wait_on_finished_process_resumes_immediately():
         return (sim.now, v)
 
     assert sim.run(until=sim.process(late())) == (10.0, "done")
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as i:
-            log.append((sim.now, i.cause))
-
-    p = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(3.0)
-        p.interrupt("wake up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [(3.0, "wake up")]
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        return sim.now
-
-    p = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(5.0)
-        p.interrupt()
-
-    sim.process(interrupter())
-    assert sim.run(until=p) == 6.0
 
 
 def test_close_ends_a_waiting_process_without_triggering_it():

@@ -9,23 +9,18 @@ from repro.sim.resources import EMPTY
 class TestResource:
     def test_immediate_grant_when_free(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         req = res.request()
         assert req.triggered
         assert res.in_use == 1
 
-    def test_capacity_validated(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
     def test_fifo_granting(self):
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         order = []
 
         def user(tag, hold):
-            yield from res.use(hold)
+            yield res.hold(hold)
             order.append((sim.now, tag))
 
         sim.process(user("a", 5.0))
@@ -34,74 +29,32 @@ class TestResource:
         sim.run()
         assert order == [(5.0, "a"), (8.0, "b"), (9.0, "c")]
 
-    def test_priority_granting(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(tag, prio):
-            req = res.request(priority=prio)
-            yield req
-            yield sim.timeout(1.0)
-            res.release(req)
-            order.append(tag)
-
-        def starter():
-            hold = res.request()
-            yield hold
-            yield sim.timeout(1.0)
-            # By now low/high priority requests are queued.
-            res.release(hold)
-
-        sim.process(starter())
-
-        def late_spawner():
-            yield sim.timeout(0.5)
-            sim.process(user("low", 5))
-            sim.process(user("high", 1))
-
-        sim.process(late_spawner())
-        sim.run()
-        assert order == ["high", "low"]
-
-    def test_capacity_two_parallel(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        done = []
-
-        def user(tag):
-            yield from res.use(10.0)
-            done.append((sim.now, tag))
-
-        for t in "abc":
-            sim.process(user(t))
-        sim.run()
-        assert done == [(10.0, "a"), (10.0, "b"), (20.0, "c")]
-
     def test_double_release_raises(self):
         sim = Simulator()
         res = Resource(sim)
-        req = res.request()
-        res.release(req)
+        res.request()
+        res.release()
         with pytest.raises(RuntimeError):
-            res.release(req)
-
-    def test_release_wrong_resource_raises(self):
-        sim = Simulator()
-        r1, r2 = Resource(sim), Resource(sim)
-        req = r1.request()
-        with pytest.raises(ValueError):
-            r2.release(req)
+            res.release()
 
     def test_cancel_pending_request(self):
+        # A queued hold is cancelled by closing its waiter: it leaves the
+        # count at once and is skipped when the unit comes free.
         sim = Simulator()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        second = res.request()
+        res = Resource(sim)
+        res.request()
+        second = res.hold(1.0)
+
+        def waiter():
+            yield second
+
+        proc = sim.process(waiter())
+        sim.run()
         assert not second.triggered
-        res.release(second)  # cancel before grant
+        assert res.queue_length == 1
+        proc.close()  # cancel before grant
         assert res.queue_length == 0
-        res.release(first)
+        res.release()
         assert res.in_use == 0
 
     def test_queue_length(self):
@@ -118,22 +71,35 @@ class TestResource:
         res = Resource(sim)
 
         def user():
-            yield from res.use(2.0)
+            yield res.hold(2.0)
 
         sim.run(until=sim.process(user()))
         assert res.in_use == 0
 
+    def test_negative_hold_raises(self):
+        # A negative hold would end before it starts and move the clock
+        # backwards.
+        sim = Simulator()
+        res = Resource(sim)
+        with pytest.raises(ValueError, match="negative hold"):
+            res.hold(-50.0)
+        assert res.in_use == 0 and res.use_count == 0
+        res.request()
+        with pytest.raises(ValueError, match="negative hold"):
+            res.hold(-0.5)
+        assert res.queue_length == 0
+
     def test_closed_waiter_leaves_the_queue(self):
-        # A process closed while it waits in use() must not keep its
-        # claim: the holder's release would grant the unit to the dead
-        # claim, and the late user would never run.
+        # A process closed while its hold waits in the queue must not
+        # keep its place: the holder's release would hand the unit to
+        # the dead hold, and the late user would wait for nothing.
         sim = Simulator()
         res = Resource(sim)
         log = []
 
         def user(tag, delay, hold):
             yield sim.timeout(delay)
-            yield from res.use(hold)
+            yield res.hold(hold)
             log.append((tag, sim.now))
 
         sim.process(user("holder", 0.0, 10.0))
@@ -150,6 +116,34 @@ class TestResource:
         assert res.in_use == 0
         assert res.queue_length == 0
 
+
+    def test_closed_holder_keeps_the_unit_until_its_hold_ends(self):
+        # Closing a process does not cut its hold short, whether the hold
+        # started at once or after queueing: the unit comes free when the
+        # hold ends, and the next waiter starts then.
+        sim = Simulator()
+        res = Resource(sim)
+        log = []
+
+        def user(tag, hold):
+            yield res.hold(hold)
+            log.append((tag, sim.now))
+
+        first = sim.process(user("first", 4.0))
+        second = sim.process(user("second", 4.0))
+        sim.process(user("third", 1.0))
+
+        def closer():
+            yield sim.timeout(2.0)
+            first.close()  # inside its hold, 0-4
+            yield sim.timeout(4.0)
+            second.close()  # inside its hold, 4-8
+
+        sim.process(closer())
+        sim.run()
+        assert log == [("third", 9.0)]
+        assert res.busy_time == 9.0 and res.use_count == 3
+        assert res.in_use == 0
 
 class TestStore:
     def test_put_then_get(self):

@@ -97,11 +97,11 @@ def test_resource_busy_accounting_unit():
     from repro.sim import Resource, Simulator
 
     sim = Simulator()
-    res = Resource(sim, 1, name="x")
+    res = Resource(sim, name="x")
 
     def user():
-        yield from res.use(5.0)
-        yield from res.use(2.5)
+        yield res.hold(5.0)
+        yield res.hold(2.5)
 
     sim.run(until=sim.process(user()))
     assert res.busy_time == pytest.approx(7.5)

@@ -173,19 +173,18 @@ def test_finished_processes_leave_no_cycle():
 def test_granted_requests_leave_no_cycle():
     def run():
         sim = Simulator()
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         order = []
 
         def holder(tag):
-            yield from res.use(2.0)
+            yield res.hold(2.0)
             order.append(tag)
 
         def claimer(tag):
-            req = res.request(priority=tag)
-            granted = yield req
+            granted = yield res.request()
             assert granted is None
             yield sim.timeout(1.0)
-            res.release(req)
+            res.release()
             order.append(tag)
 
         for tag in range(3):
